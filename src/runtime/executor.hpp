@@ -16,9 +16,11 @@
 // extract information from arrival order (it receives a multiset, not a
 // sequence); tests exploit this to verify order independence.
 //
-// Round engine (docs/round_engine.md): rounds run over a flat message arena
-// addressed by receiver-CSR offsets — no per-round inbox allocation — with
-// the send and deliver phases optionally parallelized over vertex blocks on
+// Round engine (docs/round_engine.md): rounds run over a flat arena of
+// message pointers addressed by receiver-CSR offsets. Receivers read each
+// message in place, from the sender's outbox slot, through an Inbox view,
+// so a round allocates no inbox and copies no message per delivery. The
+// send and deliver phases are optionally parallelized over vertex blocks on
 // a persistent ThreadPool. Each inbox is shuffled by a counter-based RNG
 // keyed on (seed, round, vertex), so execution is bitwise-identical across
 // thread counts. Round graphs are obtained through DynamicGraph::view(t):
@@ -29,9 +31,7 @@
 #include <chrono>
 #include <concepts>
 #include <cstdint>
-#include <iterator>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -41,6 +41,7 @@
 #include "dynamics/perturbation.hpp"
 #include "runtime/capabilities.hpp"
 #include "runtime/comm_model.hpp"
+#include "runtime/inbox.hpp"
 #include "support/counter_rng.hpp"
 #include "support/thread_pool.hpp"
 #include "wire/meter.hpp"
@@ -53,32 +54,18 @@ namespace anonet {
 //     outdegree: 0 when the model hides it, else the round outdegree
 //       (self-loop included);
 //     port: 0 for isotropic models, else the output port in [1, outdegree].
-// and ONE of the two receive forms, a transition on the received multiset
-// (shuffled by the executor):
-//   void receive(std::span<const Message> messages);
-//     zero-copy: `messages` aliases the executor's arena and is only valid
-//     during the call. Preferred; every agent in src/core uses it.
-//   void receive(std::vector<Message> messages);
-//     compatibility form: the executor materializes a vector (one move per
-//     message) and hands over ownership.
+//   void receive(Inbox<Message> messages);
+//     the transition on the received multiset, shuffled by the executor.
+//     `messages` aliases the senders' outbox slots and is valid only during
+//     the call (runtime/inbox.hpp): copy what must outlive it.
 template <typename A>
-concept HasSpanReceive = requires(A agent,
-                                  std::span<const typename A::Message> m) {
-  { agent.receive(m) };
-};
-
-template <typename A>
-concept HasVectorReceive = requires(A agent,
-                                    std::vector<typename A::Message> m) {
-  { agent.receive(std::move(m)) };
-};
-
-template <typename A>
-concept AnonymousAgent = requires(const A const_agent) {
-  typename A::Message;
-  requires std::default_initializable<typename A::Message>;
-  { const_agent.send(0, 0) } -> std::same_as<typename A::Message>;
-} && (HasSpanReceive<A> || HasVectorReceive<A>);
+concept AnonymousAgent =
+    requires(const A const_agent, A agent, Inbox<typename A::Message> inbox) {
+      typename A::Message;
+      requires std::default_initializable<typename A::Message>;
+      { const_agent.send(0, 0) } -> std::same_as<typename A::Message>;
+      { agent.receive(inbox) };
+    };
 
 // An agent opts into thread-parallel execution by declaring
 //     static constexpr bool kParallelSafe = true;
@@ -506,10 +493,12 @@ class Executor {
 
     const auto t_deliver = Clock::now();
 
-    // Deliver phase: each receiver gathers its in-edges into its arena
-    // slice, shuffles with its own counter-keyed stream, and transitions.
-    // Receivers only touch their own slice and their own agent, so vertex
-    // blocks are independent and the outcome is thread-count-invariant.
+    // Deliver phase: each receiver gathers pointers to its in-edges'
+    // messages into its arena slice, shuffles them with its own
+    // counter-keyed stream, and transitions on an Inbox over the slice.
+    // Receivers only write their own slice and their own agent and only read
+    // the outboxes, so vertex blocks are independent and the outcome is
+    // thread-count-invariant.
     parallel(n64, deliver_grain,
              [&](std::int64_t begin, std::int64_t end, std::int64_t b) {
                Partial local;
@@ -546,13 +535,13 @@ class Executor {
                    if (port_aware) {
                      const auto slot =
                          static_cast<std::size_t>(in_edge_[base + k]);
-                     arena_[base + got] = edge_outbox_[slot];
-                     local.payload += message_weight(arena_[base + got]);
+                     arena_[base + got] = &edge_outbox_[slot];
+                     local.payload += message_weight(edge_outbox_[slot]);
                      if (metering) local.recv_bits += edge_outbox_bits_[slot];
                    } else {
                      const auto src =
                          static_cast<std::size_t>(in_source_[base + k]);
-                     arena_[base + got] = outbox_[src];
+                     arena_[base + got] = &outbox_[src];
                      if constexpr (kWeighted) {
                        local.payload += outbox_weight_[src];
                      } else {
@@ -563,6 +552,7 @@ class Executor {
                    ++got;
                  }
                  local.messages += static_cast<std::int64_t>(got);
+                 const Message** slice = arena_.data() + base;
                  if (got > 1) {
                    // Fisher–Yates keyed on (seed, round, vertex): cheaper
                    // than std::shuffle's division-based bounded draws and
@@ -572,23 +562,12 @@ class Executor {
                    // still a pure function of (seed, t, v, survivors).
                    CounterRng rng(seed_, static_cast<std::uint64_t>(t),
                                   static_cast<std::uint64_t>(v));
-                   Message* slice = arena_.data() + base;
                    for (std::size_t k = got - 1; k > 0; --k) {
                      std::swap(slice[k], slice[rng.bounded(k + 1)]);
                    }
                  }
-                 Alg& agent = agents_[static_cast<std::size_t>(i)];
-                 if constexpr (HasSpanReceive<Alg>) {
-                   agent.receive(
-                       std::span<const Message>(arena_.data() + base, got));
-                 } else {
-                   const auto slice_begin =
-                       arena_.begin() + static_cast<std::ptrdiff_t>(base);
-                   agent.receive(std::vector<Message>(
-                       std::make_move_iterator(slice_begin),
-                       std::make_move_iterator(
-                           slice_begin + static_cast<std::ptrdiff_t>(got))));
-                 }
+                 agents_[static_cast<std::size_t>(i)].receive(
+                     inbox_of(slice, got));
                }
                partials_[static_cast<std::size_t>(b)] = local;
              });
@@ -766,13 +745,15 @@ class Executor {
   wire::ChannelPolicy channel_policy_{};
   wire::BandwidthMeter meter_;
 
-  // Round-engine arena state, reused across rounds (no per-round heap
-  // churn once capacities have grown to the schedule's maxima).
+  // Round-engine arena state, reused across rounds (the engine allocates
+  // nothing once capacities have grown to the schedule's maxima). arena_
+  // points into outbox_ or edge_outbox_, which stay unresized from the send
+  // phase to the end of the round.
   const Digraph* topology_key_ = nullptr;  // borrowed graph offsets refer to
   std::vector<std::size_t> in_offset_;     // receiver-CSR offsets, size n+1
   std::vector<EdgeId> in_edge_;            // slot -> edge id (port-aware path)
   std::vector<Vertex> in_source_;          // slot -> sender (isotropic path)
-  std::vector<Message> arena_;             // delivered messages, receiver-major
+  std::vector<const Message*> arena_;      // delivered messages, receiver-major
   std::vector<Message> outbox_;            // one message per sender (isotropic)
   std::vector<std::int64_t> outbox_weight_;  // per-sender weight (isotropic)
   std::vector<Message> edge_outbox_;       // one message per edge (port-aware)

@@ -7,9 +7,9 @@
 // turns that silence into this compile error.
 
 #include <cstdint>
-#include <vector>
 
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 
 namespace {
@@ -28,7 +28,7 @@ class SilentAgent {
     return Message{value_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

@@ -8,7 +8,6 @@
 // static_assert in Executor's ModelTag constructor.
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "dynamics/schedules.hpp"
@@ -27,7 +26,7 @@ struct PortSplitterAgent {
   [[nodiscard]] Message send(int /*outdegree*/, int port) const {
     return Message{port};
   }
-  void receive(std::span<const Message> /*messages*/) {}
+  void receive(anonet::Inbox<Message> /*messages*/) {}
 };
 
 }  // namespace

@@ -5,14 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <random>
-#include <span>
+#include <ranges>
 
 #include "core/exact_pushsum.hpp"
 #include "core/gossip.hpp"
 #include "core/pushsum.hpp"
+#include "dynamics/perturbation.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "runtime/convergence.hpp"
@@ -37,8 +39,8 @@ struct ProbeAgent {
     ports_seen.push_back(port);
     return Message{id, port};
   }
-  void receive(std::vector<Message> messages) {
-    last_inbox = std::move(messages);
+  void receive(Inbox<Message> messages) {
+    last_inbox.assign(messages.begin(), messages.end());
   }
 };
 
@@ -167,7 +169,7 @@ struct WeightedAgent {
     [[nodiscard]] std::int64_t weight_units() const { return 7; }
   };
   Message send(int, int) const { return {}; }
-  void receive(std::vector<Message>) {}
+  void receive(Inbox<Message> /*messages*/) {}
 };
 
 TEST(Executor, PayloadUnitsUseDeclaredWeights) {
@@ -229,7 +231,7 @@ TEST(Executor, MissingSelfLoopIsRejected) {
   EXPECT_THROW(exec.step(), std::logic_error);
 }
 
-// Order-*sensitive* span-receive agent: its state folds the exact arrival
+// Order-*sensitive* agent: its state folds the exact arrival
 // sequence, so two runs end in identical states only if every inbox was
 // delivered in the identical order. This is the strongest possible probe for
 // the thread-count invariance of the round engine.
@@ -246,7 +248,7 @@ struct OrderHashAgent {
     return Message{state ^ (static_cast<std::uint64_t>(outdegree) << 32) ^
                    static_cast<std::uint64_t>(port)};
   }
-  void receive(std::span<const Message> messages) {
+  void receive(Inbox<Message> messages) {
     for (const Message& m : messages) {
       state = state * 1099511628211ull + m.tag;  // FNV-style, order-sensitive
     }
@@ -364,8 +366,10 @@ std::vector<Alg> run_seed_reference(const DynamicGraphPtr& net,
     for (Vertex v = 0; v < g.vertex_count(); ++v) {
       auto& messages = inbox[static_cast<std::size_t>(v)];
       std::shuffle(messages.begin(), messages.end(), rng);
+      std::vector<const Message*> slots;
+      for (const Message& m : messages) slots.push_back(&m);
       agents[static_cast<std::size_t>(v)].receive(
-          std::span<const Message>(messages));
+          inbox_of(slots.data(), slots.size()));
     }
   }
   return agents;
@@ -402,6 +406,167 @@ TEST(ExecutorDeterminism, GossipMatchesSeedSemantics) {
   for (Vertex v = 0; v < 13; ++v) {
     EXPECT_EQ(exec.agent(v).known(),
               reference[static_cast<std::size_t>(v)].known());
+  }
+}
+
+// --- the Inbox contract --------------------------------------------------------
+
+static_assert(std::ranges::random_access_range<Inbox<int>>);
+static_assert(std::ranges::sized_range<Inbox<int>>);
+static_assert(
+    std::same_as<std::ranges::range_reference_t<Inbox<int>>, const int&>);
+
+TEST(Executor, InboxIndexesThroughItsSlots) {
+  const int a = 10, b = 20, c = 30;
+  const int* slots[] = {&c, &a, &b};
+  const Inbox<int> inbox = inbox_of(slots, 3);
+  ASSERT_EQ(inbox.size(), 3u);
+  EXPECT_FALSE(inbox.empty());
+  EXPECT_EQ(&inbox.front(), &c);  // a reference to the slot's target
+  EXPECT_EQ(&inbox[2], &b);
+  EXPECT_EQ(inbox.end() - inbox.begin(), 3);
+  EXPECT_EQ(inbox.begin()[1], 10);
+  EXPECT_EQ(*(inbox.end() - 1), 20);
+  EXPECT_EQ(std::vector<int>(inbox.begin(), inbox.end()),
+            (std::vector<int>{30, 10, 20}));
+  EXPECT_TRUE(Inbox<int>().empty());
+}
+
+// A message that counts its own copies: the engine must move each sent
+// message into its outbox slot once and hand every receiver a reference.
+struct CountedMessage {
+  static inline std::atomic<std::int64_t> copies{0};
+
+  int sender = -1;
+
+  CountedMessage() = default;
+  explicit CountedMessage(int from) : sender(from) {}
+  CountedMessage(const CountedMessage& other) : sender(other.sender) {
+    copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  CountedMessage& operator=(const CountedMessage& other) {
+    sender = other.sender;
+    copies.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  CountedMessage(CountedMessage&&) noexcept = default;
+  CountedMessage& operator=(CountedMessage&&) noexcept = default;
+  ~CountedMessage() = default;
+};
+
+// Records the sender of every delivery, in delivery order, with -1 closing
+// each inbox. Sender ids are test scaffolding, not something the model
+// gives an agent.
+struct SenderTraceAgent {
+  using Message = CountedMessage;
+  static constexpr bool kParallelSafe = true;
+
+  int id = 0;
+  std::vector<int> heard;
+
+  Message send(int /*outdegree*/, int /*port*/) const { return Message(id); }
+  void receive(Inbox<Message> messages) {
+    for (const Message& m : messages) heard.push_back(m.sender);
+    heard.push_back(-1);
+  }
+};
+
+struct InboxCase {
+  const char* name;
+  DynamicGraphPtr net;
+  CommModel model;
+  int rounds;
+  bool perturbed;  // straggler + crash + drops
+  // Per receiver, the senders it heard, recorded with the engine that
+  // copied every delivery into its arena. Equal sequences mean the pointer
+  // arena draws the same shuffle over the same survivors.
+  std::vector<std::vector<int>> golden;
+};
+
+std::vector<InboxCase> inbox_cases() {
+  Digraph ported = random_strongly_connected(7, 6, 22);
+  ported.assign_output_ports();
+  return {
+      {"outdegree",
+       std::make_shared<RandomStronglyConnectedSchedule>(7, 6, 21),
+       CommModel::kOutdegreeAware,
+       3,
+       false,
+       {{5, 0, -1, 0, 6, -1, 5, 0, 1, -1},
+        {1, 4, -1, 0, 1, 4, -1, 4, 5, 1, -1},
+        {2, 0, 3, -1, 2, 5, 6, -1, 0, 2, -1},
+        {6, 2, 3, -1, 1, 4, 3, -1, 3, 6, -1},
+        {4, 2, -1, 6, 0, 2, 4, -1, 2, 6, 4, -1},
+        {1, 3, 5, -1, 5, 0, -1, 3, 5, -1},
+        {0, 2, 6, 3, 4, -1, 6, 3, 4, -1, 0, 4, 6, -1}}},
+      {"ports",
+       std::make_shared<StaticSchedule>(ported),
+       CommModel::kOutputPortAware,
+       3,
+       false,
+       {{4, 0, -1, 0, 4, -1, 0, 4, -1},
+        {1, 0, 2, -1, 0, 1, 2, -1, 0, 2, 1, -1},
+        {2, 6, -1, 2, 6, -1, 6, 2, -1},
+        {0, 3, -1, 0, 3, -1, 3, 0, -1},
+        {4, 1, -1, 1, 4, -1, 1, 4, -1},
+        {2, 0, 3, 5, -1, 5, 3, 0, 2, -1, 5, 2, 0, 3, -1},
+        {6, 3, 5, -1, 6, 5, 3, -1, 3, 5, 6, -1}}},
+      {"perturbed",
+       std::make_shared<RandomStronglyConnectedSchedule>(7, 6, 23),
+       CommModel::kOutdegreeAware,
+       4,
+       true,
+       {{2, 0, -1, 0, -1},
+        {1, 0, -1, 1, 5, -1, 1, -1, 1, 2, -1},
+        {2, -1, 2, 1, -1, 2, -1, 2, 5, -1},
+        {1, 1, 3, -1, 4, 0, 5, 3, -1, 3, 4, -1, 3, 1, 4, 6, -1},
+        {4, -1, 2, 4, -1, 1, 4, -1, 4, 3, -1},
+        {0, 5, -1, 5, -1, 5, 2, 3, -1, 4, 5, -1},
+        {5, 6, -1, 6, 1, -1}}},
+  };
+}
+
+// Runs `c` and returns every receiver's trace; `copies` gets the number of
+// message copies made while the rounds ran.
+std::vector<std::vector<int>> run_inbox_case(const InboxCase& c, int threads,
+                                             std::int64_t* copies) {
+  const Vertex n = c.net->vertex_count();
+  std::vector<SenderTraceAgent> agents(static_cast<std::size_t>(n));
+  for (Vertex v = 0; v < n; ++v) agents[static_cast<std::size_t>(v)].id = v;
+  Executor<SenderTraceAgent> exec(c.net, std::move(agents), c.model,
+                                  0xC0FFEEull, threads);
+  if (c.perturbed) {
+    exec.set_start_schedule(StartSchedule::straggler(n, 3));
+    FaultPlan plan = FaultPlan::crash_first_agent(n, 3);
+    plan.drop_rate = 0.3;
+    plan.drop_seed = 77;
+    exec.set_fault_plan(plan);
+  }
+  CountedMessage::copies.store(0);
+  exec.run(c.rounds);
+  *copies = CountedMessage::copies.load();
+  std::vector<std::vector<int>> traces;
+  for (const auto& a : exec.agents()) traces.push_back(a.heard);
+  return traces;
+}
+
+TEST(ExecutorDeterminism, InboxDeliversReferencesNotCopies) {
+  for (const InboxCase& c : inbox_cases()) {
+    for (int threads : {1, 4}) {
+      std::int64_t copies = -1;
+      static_cast<void>(run_inbox_case(c, threads, &copies));
+      EXPECT_EQ(copies, 0) << c.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ExecutorDeterminism, InboxOrderMatchesGoldenShuffle) {
+  for (const InboxCase& c : inbox_cases()) {
+    for (int threads : {1, 4}) {
+      std::int64_t copies = 0;
+      EXPECT_EQ(run_inbox_case(c, threads, &copies), c.golden)
+          << c.name << " threads=" << threads;
+    }
   }
 }
 

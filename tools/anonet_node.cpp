@@ -3,8 +3,8 @@
 // One binary, two roles:
 //
 //   # coordinator: listen, wait for 2 workers, run the smoke grid
-//   anonet_node --listen 127.0.0.1:0 --port-file port.txt \
-//               --workers 2 --grid smoke --out out.jsonl
+//   anonet_node --listen 127.0.0.1:0 --port-file port.txt --workers 2
+//       --grid smoke --out out.jsonl        (one command line)
 //
 //   # worker: connect and serve cells until SHUTDOWN
 //   anonet_node --connect 127.0.0.1:$(cat port.txt)
