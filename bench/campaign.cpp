@@ -43,7 +43,6 @@ struct SuiteSummary {
   int approximate = 0;  // success without exact stabilization
   std::int64_t rounds = 0;
   std::int64_t messages = 0;
-  std::int64_t payload = 0;
 };
 
 void fold(const std::vector<CellRecord>& records,
@@ -71,7 +70,6 @@ void fold(const std::vector<CellRecord>& records,
     if (record.success && !record.exact) ++summary->approximate;
     summary->rounds += record.rounds;
     summary->messages += record.messages;
-    summary->payload += record.payload;
   }
 }
 
@@ -186,8 +184,7 @@ int main() {
         .field("exact", s.exact)
         .field("approximate", s.approximate)
         .field("rounds", s.rounds)
-        .field("messages", s.messages)
-        .field("payload_units", s.payload);
+        .field("messages", s.messages);
     std::fprintf(out, "    %s%s\n", o.str().c_str(),
                  i + 1 < suites.size() ? "," : "");
   }

@@ -1,10 +1,10 @@
 // Round-engine scaling benchmark — emits BENCH_executor.json.
 //
-// Three sweeps, all on outdegree-aware Push-Sum (the workload behind the
-// Theorem 5.2 convergence experiments):
-//   (a) rounds/sec and messages/sec vs n on a static bidirectional ring;
-//   (b) serial vs pooled thread scaling 1/2/4/8 at n in {1e3, 1e4, 1e5};
-//   (c) block-grain sweep at n = 1e4 (set_block_grain override vs the
+// Two sweeps, both on outdegree-aware Push-Sum over a static bidirectional
+// ring (the workload behind the Theorem 5.2 convergence experiments):
+//   (a) rounds/sec and messages/sec vs n in {1e2, 1e3, 1e4, 1e5}, serial
+//       and pooled at 2/4/8 threads;
+//   (b) block-grain sweep at n = 1e4 (set_block_grain override vs the
 //       adaptive policy), sizing the claim-amortization sweet spot.
 //
 // Regenerate with scripts/bench.sh (Release build); interpretation notes in
@@ -89,29 +89,12 @@ void print_row(const Row& row) {
 int main() {
   std::vector<Row> rows;
 
-  // Sweep (a): n scaling, single thread.
-  std::printf("executor_scaling (a) — static bidirectional ring, Push-Sum\n");
-  for (Vertex n : {100, 1000, 10000, 100000}) {
-    auto net = std::make_shared<StaticSchedule>(bidirectional_ring(n));
-    const int rounds = rounds_for(n);
-    rows.push_back(timed("ring", "arena", n, 1, rounds, [&](Row& row) {
-      Executor<PushSumAgent> exec(net, make_agents(n),
-                                  CommModel::kOutdegreeAware);
-      exec.run(rounds);
-      row.messages = exec.stats().messages_delivered;
-      double sum = 0.0;
-      for (const auto& a : exec.agents()) sum += a.output();
-      return sum;
-    }));
-    print_row(rows.back());
-  }
-
-  // Sweep (b): serial vs pooled across n. `serial` is the executor with no
-  // pool (threads = 1); `pooled` rows share the identical engine with a
+  // Sweep (a): n scaling, serial vs pooled. `serial` is the executor with
+  // no pool (threads = 1); `pooled` rows share the identical engine with a
   // persistent worker pool, so the delta is pure pool overhead or speedup.
-  std::printf("executor_scaling (b) — serial vs pooled (host has %d hardware threads)\n",
+  std::printf("executor_scaling (a) — serial vs pooled (host has %d hardware threads)\n",
               ThreadPool::hardware_threads());
-  for (Vertex n : {1000, 10000, 100000}) {
+  for (Vertex n : {100, 1000, 10000, 100000}) {
     auto net = std::make_shared<StaticSchedule>(bidirectional_ring(n));
     const int rounds = rounds_for(n);
     for (int threads : {1, 2, 4, 8}) {
@@ -130,12 +113,12 @@ int main() {
     }
   }
 
-  // Sweep (c): block-grain sensitivity at n = 1e4. grain = 0 is the adaptive
+  // Sweep (b): block-grain sensitivity at n = 1e4. grain = 0 is the adaptive
   // policy (per-phase EWMA targeting ~128us per claim); forced grains map the
   // claim-amortization curve that policy navigates.
   const Vertex n_grain_sweep = 10000;
   const int grain_threads = std::min(4, ThreadPool::hardware_threads());
-  std::printf("executor_scaling (c) — grain sweep at n=%d, threads=%d\n",
+  std::printf("executor_scaling (b) — grain sweep at n=%d, threads=%d\n",
               n_grain_sweep, grain_threads);
   {
     auto net =

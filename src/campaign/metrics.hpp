@@ -78,7 +78,6 @@ struct CellRecord {
   double error = std::numeric_limits<double>::quiet_NaN();
   std::int64_t rounds = 0;    // rounds actually run (<= the cell's budget)
   std::int64_t messages = 0;  // arena deliveries, self-loops included
-  std::int64_t payload = 0;   // bandwidth proxy (message weight units)
   std::int64_t bits = -1;     // measured bits sent (metered cells; else -1)
   std::string mechanism;      // algorithm the cell ran (or skip reason class)
   double wall_ms = -1.0;      // < 0 = not recorded
@@ -113,7 +112,8 @@ class MetricsSink {
                                            bool include_timings);
 
   // Parses a line this writer produced. Returns nullopt for malformed or
-  // truncated lines (resume then recomputes those cells).
+  // truncated lines (resume then recomputes those cells). Unknown fields are
+  // ignored, so files that still carry the retired `payload` field resume.
   [[nodiscard]] static std::optional<CellRecord> parse_line(
       const std::string& line);
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/census.hpp"
+#include "core/drive.hpp"
 #include "core/gossip.hpp"
 #include "core/metropolis.hpp"
 #include "core/pushsum.hpp"
@@ -17,7 +18,6 @@
 #include "dynamics/schedules.hpp"
 #include "runtime/executor.hpp"
 #include "support/thread_pool.hpp"
-#include "wire/codecs.hpp"
 #include "wire/meter.hpp"
 
 namespace anonet::campaign {
@@ -96,10 +96,10 @@ void configure_perturbations(Executor<Agent>& executor, const Cell& cell) {
   executor.set_fault_plan(std::move(plan));
 }
 
-// The computability-harness path (AgentKind::kAuto): the harness picks the
-// paper's algorithm for the (model, knowledge, function) cell, exactly as
-// the bench table probes do.
-void run_auto(const Cell& cell, CellRecord& record) {
+// The cell's coordinates as a harness Attempt, shared by every agent kind.
+// The knowledge parameter follows the campaign's convention: a bound of 2n,
+// the exact n, or a single leader.
+Attempt attempt_for(const Cell& cell) {
   Attempt attempt;
   attempt.model = cell.model;
   attempt.knowledge = cell.knowledge;
@@ -108,130 +108,138 @@ void run_auto(const Cell& cell, CellRecord& record) {
   attempt.seed = cell.seed;
   attempt.deadline_ms = cell.timeout_ms;
   attempt.bandwidth_bits = cell.bandwidth_bits;
-  std::vector<std::int64_t> inputs = cell.inputs;
-  const int n = cell.n();
   switch (cell.knowledge) {
     case Knowledge::kNone:
       break;
     case Knowledge::kUpperBound:
-      attempt.parameter = 2 * n;
+      attempt.parameter = 2 * static_cast<std::int64_t>(cell.n());
       break;
     case Knowledge::kExactSize:
-      attempt.parameter = n;
+      attempt.parameter = cell.n();
       break;
     case Knowledge::kLeaders:
       attempt.parameter = 1;
-      inputs.clear();
-      for (std::size_t i = 0; i < cell.inputs.size(); ++i) {
-        inputs.push_back(encode_leader_input(cell.inputs[i], i == 0));
-      }
       break;
   }
-  const SymmetricFunction f = make_function(cell.function);
-  const AttemptResult result =
-      cell.schedule == ScheduleKind::kStaticPanel
-          ? attempt_static(make_static_panel(cell.model, cell.variant).graph,
-                           inputs, f, attempt)
-          : attempt_dynamic(make_cell_schedule(cell), inputs, f, attempt);
+  return attempt;
+}
+
+void fill_record(const AttemptResult& result, CellRecord& record) {
   record.success = result.success;
   record.exact = result.success && result.stabilization_round >= 0;
   record.stabilization_round = result.stabilization_round;
   record.error = result.final_error;
   record.rounds = result.rounds_run;
   record.messages = result.messages_delivered;
-  record.payload = result.payload_units;
   record.bits = result.bits_total;
   record.mechanism = result.mechanism;
 }
 
-void finish_from_stats(const ExecutorStats& stats, CellRecord& record) {
-  record.rounds = stats.rounds;
-  record.messages = stats.messages_delivered;
-  record.payload = stats.payload_units;
-}
-
-// Flooding on the pinned schedule: exact (δ0) verdict. Known sets only
-// grow, so the first all-agents-exact round is permanent and we can stop.
-void run_gossip(const Cell& cell, CellRecord& record) {
-  std::vector<SetGossipAgent> agents;
-  agents.reserve(cell.inputs.size());
-  for (std::int64_t input : cell.inputs) agents.emplace_back(input);
-  Executor<SetGossipAgent> executor(make_cell_schedule(cell),
-                                    std::move(agents), cell.model, cell.seed);
-  executor.set_deadline(cell.timeout_ms);
-  executor.set_channel_policy(
-      wire::channel_policy_from_bits(cell.bandwidth_bits));
-  configure_perturbations(executor, cell);
+// The computability-harness path (AgentKind::kAuto): the harness picks the
+// paper's algorithm for the (model, knowledge, function) cell, exactly as
+// the bench table probes do.
+AttemptResult run_auto(const Cell& cell, const Attempt& attempt) {
+  std::vector<std::int64_t> inputs = cell.inputs;
+  if (cell.knowledge == Knowledge::kLeaders) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      inputs[i] = encode_leader_input(cell.inputs[i], i == 0);
+    }
+  }
   const SymmetricFunction f = make_function(cell.function);
-  const Rational truth = ground_truth(cell.inputs, f, Knowledge::kNone);
-  int stabilized = -1;
-  for (int t = 1; t <= cell.rounds; ++t) {
-    executor.step();
-    bool all_exact = true;
-    for (const SetGossipAgent& agent : executor.agents()) {
-      if (agent.output(f) != truth) {
-        all_exact = false;
-        break;
-      }
-    }
-    if (all_exact) {
-      stabilized = t;
-      break;
-    }
-  }
-  double error = 0.0;
-  for (const SetGossipAgent& agent : executor.agents()) {
-    error = std::max(error, std::abs(agent.output(f).to_double() -
-                                     truth.to_double()));
-  }
-  record.exact = stabilized >= 0;
-  record.success = record.exact;
-  record.stabilization_round = stabilized;
-  record.error = error;
-  record.mechanism = "set gossip (flooding)";
-  finish_from_stats(executor.stats(), record);
-  if (cell.bandwidth_bits != 0) {
-    record.bits = executor.bandwidth_meter().total_bits_sent();
-  }
+  return cell.schedule == ScheduleKind::kStaticPanel
+             ? attempt_static(make_static_panel(cell.model, cell.variant).graph,
+                              inputs, f, attempt)
+             : attempt_dynamic(make_cell_schedule(cell), inputs, f, attempt);
 }
 
-// Shared δ2 loop for the frequency estimators: step until the sup-error of
-// the estimated function value drops within tolerance or the round budget
-// (the cell's timeout) is exhausted.
-template <typename Agent, typename EstimateFn>
-void run_frequency_estimator(const Cell& cell, CellRecord& record,
-                             const char* mechanism, EstimateFn&& estimate) {
+// Explicit-agent cells: one agent per raw input on the cell's schedule,
+// with the cell's perturbations installed.
+template <typename Agent>
+Executor<Agent> cell_executor(const Cell& cell) {
   std::vector<Agent> agents;
   agents.reserve(cell.inputs.size());
   for (std::int64_t input : cell.inputs) agents.emplace_back(input);
   Executor<Agent> executor(make_cell_schedule(cell), std::move(agents),
                            cell.model, cell.seed);
-  executor.set_deadline(cell.timeout_ms);
-  executor.set_channel_policy(
-      wire::channel_policy_from_bits(cell.bandwidth_bits));
   configure_perturbations(executor, cell);
+  return executor;
+}
+
+// Flooding on the pinned schedule: exact (δ0) verdict. Known sets only
+// grow, so the first all-agents-exact round is permanent and we can stop.
+AttemptResult run_gossip(const Cell& cell, const Attempt& attempt) {
+  Executor<SetGossipAgent> executor = cell_executor<SetGossipAgent>(cell);
+  const SymmetricFunction f = make_function(cell.function);
+  const Rational truth = ground_truth(cell.inputs, f, Knowledge::kNone);
+  bool stabilized = false;
+  AttemptResult result = drive(
+      executor, attempt, [&](const std::vector<SetGossipAgent>& agents) {
+        stabilized = std::all_of(agents.begin(), agents.end(),
+                                 [&](const SetGossipAgent& agent) {
+                                   return agent.output(f) == truth;
+                                 });
+        return stabilized;
+      });
+  double error = 0.0;
+  for (const SetGossipAgent& agent : executor.agents()) {
+    error = std::max(error, std::abs(agent.output(f).to_double() -
+                                     truth.to_double()));
+  }
+  result.success = stabilized;
+  result.stabilization_round =
+      stabilized ? static_cast<int>(result.rounds_run) : -1;
+  result.final_error = error;
+  result.mechanism = "set gossip (flooding)";
+  return result;
+}
+
+// Shared δ2 observer for the frequency estimators: stop once the sup-error
+// of the estimated function value is within tolerance; otherwise the round
+// budget (or the cell's timeout) ends the run.
+template <typename Agent, typename EstimateFn>
+AttemptResult run_frequency_estimator(const Cell& cell, const Attempt& attempt,
+                                      const char* mechanism,
+                                      EstimateFn&& estimate) {
+  Executor<Agent> executor = cell_executor<Agent>(cell);
   const SymmetricFunction f = make_function(cell.function);
   const double truth = ground_truth(cell.inputs, f, Knowledge::kNone)
                            .to_double();
   double error = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= cell.rounds; ++t) {
-    executor.step();
-    error = 0.0;
-    for (const Agent& agent : executor.agents()) {
-      const double value = f.eval_approximate(estimate(agent));
-      error = std::max(error, std::abs(value - truth));
-    }
-    if (error <= cell.tolerance) break;
+  AttemptResult result =
+      drive(executor, attempt, [&](const std::vector<Agent>& agents) {
+        error = 0.0;
+        for (const Agent& agent : agents) {
+          const double value = f.eval_approximate(estimate(agent));
+          error = std::max(error, std::abs(value - truth));
+        }
+        return error <= attempt.tolerance;
+      });
+  result.success = error <= attempt.tolerance;
+  result.final_error = error;
+  result.mechanism = mechanism;
+  return result;
+}
+
+AttemptResult run_agent(const Cell& cell, const Attempt& attempt) {
+  switch (cell.agent) {
+    case AgentKind::kAuto:
+      return run_auto(cell, attempt);
+    case AgentKind::kSetGossip:
+      return run_gossip(cell, attempt);
+    case AgentKind::kFrequencyPushSum:
+      return run_frequency_estimator<FrequencyPushSumAgent>(
+          cell, attempt, "per-value Push-Sum (Algorithm 1)",
+          [](const FrequencyPushSumAgent& agent) {
+            return agent.normalized_estimates();
+          });
+    case AgentKind::kMetropolis:
+      return run_frequency_estimator<FrequencyMetropolisAgent>(
+          cell, attempt, "Metropolis indicator averaging",
+          [](const FrequencyMetropolisAgent& agent) {
+            return agent.estimates();
+          });
   }
-  record.success = error <= cell.tolerance;
-  record.exact = false;
-  record.stabilization_round = -1;
-  record.error = error;
-  record.mechanism = mechanism;
-  finish_from_stats(executor.stats(), record);
-  if (cell.bandwidth_bits != 0) {
-    record.bits = executor.bandwidth_meter().total_bits_sent();
-  }
+  throw std::invalid_argument("run_cell: unknown agent kind");
 }
 
 }  // namespace
@@ -303,28 +311,7 @@ CellRecord Runner::run_cell(const Cell& cell, bool record_wall_time) {
 
   const auto started = std::chrono::steady_clock::now();
   try {
-    switch (cell.agent) {
-      case AgentKind::kAuto:
-        run_auto(cell, record);
-        break;
-      case AgentKind::kSetGossip:
-        run_gossip(cell, record);
-        break;
-      case AgentKind::kFrequencyPushSum:
-        run_frequency_estimator<FrequencyPushSumAgent>(
-            cell, record, "per-value Push-Sum (Algorithm 1)",
-            [](const FrequencyPushSumAgent& agent) {
-              return agent.normalized_estimates();
-            });
-        break;
-      case AgentKind::kMetropolis:
-        run_frequency_estimator<FrequencyMetropolisAgent>(
-            cell, record, "Metropolis indicator averaging",
-            [](const FrequencyMetropolisAgent& agent) {
-              return agent.estimates();
-            });
-        break;
-    }
+    fill_record(run_agent(cell, attempt_for(cell)), record);
     record.verdict = "ok";
     if (record.predicted && !record.success) {
       // The breakdown the FaultTolerance table predicted: not a bug, the

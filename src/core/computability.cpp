@@ -8,18 +8,16 @@
 #include <stdexcept>
 
 #include "core/census.hpp"
+#include "core/drive.hpp"
 #include "core/freq_static.hpp"
 #include "core/gossip.hpp"
 #include "core/history_tree.hpp"
-#include "core/metropolis.hpp"
 #include "core/minbase_agent.hpp"
 #include "core/pushsum.hpp"
 #include "core/uniform_consensus.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/analysis.hpp"
 #include "runtime/executor.hpp"
-#include "wire/codecs.hpp"
-#include "wire/meter.hpp"
 
 namespace anonet {
 
@@ -36,30 +34,39 @@ std::vector<std::int64_t> decoded_inputs(
   return result;
 }
 
-// Per-round agreement tracker for δ0 (exact, stable) computation.
+// δ0 (exact, stable) observer for drive(): evaluates every agent's exact
+// output with `outputs_fn(agent)` after each round and tracks the first
+// round from which all of them equal f(v) and stayed so. It never stops the
+// run early — a later round may still break the agreement.
+template <typename OutputsFn>
 class ExactnessTracker {
  public:
-  explicit ExactnessTracker(Rational truth) : truth_(std::move(truth)) {}
+  ExactnessTracker(Rational truth, OutputsFn outputs_fn)
+      : truth_(std::move(truth)), outputs_fn_(std::move(outputs_fn)) {}
 
-  void observe(const std::vector<std::optional<Rational>>& outputs) {
+  template <typename Alg>
+  bool operator()(const std::vector<Alg>& agents) {
     ++round_;
-    const bool all_exact =
-        std::all_of(outputs.begin(), outputs.end(), [&](const auto& out) {
-          return out.has_value() && *out == truth_;
-        });
+    outputs_.resize(agents.size());
+    bool all_exact = true;
+    for (std::size_t i = 0; i < agents.size(); ++i) {
+      outputs_[i] = outputs_fn_(agents[i]);
+      all_exact = all_exact && outputs_[i].has_value() &&
+                  *outputs_[i] == truth_;
+    }
     if (!all_exact) {
       stable_since_ = -1;
     } else if (stable_since_ == -1) {
       stable_since_ = round_;
     }
-    last_outputs_ = outputs;
+    return false;
   }
 
   [[nodiscard]] int stable_since() const { return stable_since_; }
 
   [[nodiscard]] double final_error() const {
     double error = 0.0;
-    for (const auto& out : last_outputs_) {
+    for (const auto& out : outputs_) {
       if (!out.has_value()) return std::numeric_limits<double>::quiet_NaN();
       error = std::max(error,
                        std::abs(out->to_double() - truth_.to_double()));
@@ -69,9 +76,10 @@ class ExactnessTracker {
 
  private:
   Rational truth_;
+  OutputsFn outputs_fn_;
   int round_ = 0;
   int stable_since_ = -1;
-  std::vector<std::optional<Rational>> last_outputs_;
+  std::vector<std::optional<Rational>> outputs_;
 };
 
 AttemptResult failure(std::string reason) {
@@ -80,49 +88,30 @@ AttemptResult failure(std::string reason) {
   return result;
 }
 
-// Runs `executor` for attempt.rounds rounds, collecting per-agent exact
-// outputs with `outputs_fn(agent)` after every round. An Attempt deadline
-// and channel policy are armed on the executor, so DeadlineExceeded and
-// wire::BandwidthExceeded escape from step() here.
+// Exact (δ0) attempt: drives the executor under an ExactnessTracker and
+// judges the stabilization round.
 template <typename Alg, typename OutputsFn>
-AttemptResult run_exact(Executor<Alg>& executor, const Attempt& attempt,
-                        const Rational& truth, OutputsFn outputs_fn,
-                        std::string mechanism) {
-  executor.set_deadline(attempt.deadline_ms);
-  executor.set_channel_policy(
-      wire::channel_policy_from_bits(attempt.bandwidth_bits));
-  ExactnessTracker tracker(truth);
-  std::vector<std::optional<Rational>> outputs(executor.agents().size());
-  for (int r = 0; r < attempt.rounds; ++r) {
-    executor.step();
-    for (std::size_t i = 0; i < executor.agents().size(); ++i) {
-      outputs[i] = outputs_fn(executor.agents()[i]);
-    }
-    tracker.observe(outputs);
-  }
-  AttemptResult result;
+AttemptResult exact_attempt(Executor<Alg>& executor, const Attempt& attempt,
+                            const Rational& truth, OutputsFn outputs_fn,
+                            std::string mechanism) {
+  ExactnessTracker tracker(truth, std::move(outputs_fn));
+  AttemptResult result = drive(executor, attempt, tracker);
   result.stabilization_round = tracker.stable_since();
   result.success = result.stabilization_round != -1;
   result.final_error = tracker.final_error();
   result.mechanism = std::move(mechanism);
-  result.rounds_run = executor.stats().rounds;
-  result.messages_delivered = executor.stats().messages_delivered;
-  result.payload_units = executor.stats().payload_units;
-  if (attempt.bandwidth_bits != 0) {
-    result.bits_total = executor.bandwidth_meter().total_bits_sent();
-  }
   return result;
 }
 
-// Asymptotic (δ2) variant: judge only the final outputs.
+// Asymptotic (δ2) attempt: drives the whole horizon observing nothing and
+// judges only the final outputs.
 template <typename Alg, typename OutputsFn>
-AttemptResult run_approximate(Executor<Alg>& executor, const Attempt& attempt,
-                              const Rational& truth, OutputsFn outputs_fn,
-                              std::string mechanism) {
-  executor.set_deadline(attempt.deadline_ms);
-  executor.set_channel_policy(
-      wire::channel_policy_from_bits(attempt.bandwidth_bits));
-  executor.run(attempt.rounds);
+AttemptResult approximate_attempt(Executor<Alg>& executor,
+                                  const Attempt& attempt,
+                                  const Rational& truth, OutputsFn outputs_fn,
+                                  std::string mechanism) {
+  AttemptResult result =
+      drive(executor, attempt, [](const std::vector<Alg>&) { return false; });
   double error = 0.0;
   for (const Alg& agent : executor.agents()) {
     const double out = outputs_fn(agent);
@@ -132,16 +121,9 @@ AttemptResult run_approximate(Executor<Alg>& executor, const Attempt& attempt,
     }
     error = std::max(error, std::abs(out - truth.to_double()));
   }
-  AttemptResult result;
   result.success = error <= attempt.tolerance;
   result.final_error = error;
   result.mechanism = std::move(mechanism);
-  result.rounds_run = executor.stats().rounds;
-  result.messages_delivered = executor.stats().messages_delivered;
-  result.payload_units = executor.stats().payload_units;
-  if (attempt.bandwidth_bits != 0) {
-    result.bits_total = executor.bandwidth_meter().total_bits_sent();
-  }
   return result;
 }
 
@@ -157,7 +139,7 @@ AttemptResult run_gossip(const DynamicGraphPtr& network,
   // Under leader coding the set of *values* is the decoded support: agents
   // strip the (commonly known) flag bit before applying f.
   const bool leader_coded = attempt.knowledge == Knowledge::kLeaders;
-  return run_exact(
+  return exact_attempt(
       executor, attempt, truth,
       [&f, leader_coded](const SetGossipAgent& agent)
           -> std::optional<Rational> {
@@ -276,9 +258,9 @@ AttemptResult run_minbase_static(const Digraph& g,
        : attempt.knowledge == Knowledge::kLeaders ? " + leaders (eq. 5)"
                                                   : "");
   if (attempt.knowledge == Knowledge::kLeaders) {
-    return run_exact(executor, attempt, truth, leader_output, mechanism);
+    return exact_attempt(executor, attempt, truth, leader_output, mechanism);
   }
-  return run_exact(executor, attempt, truth, frequency_output, mechanism);
+  return exact_attempt(executor, attempt, truth, frequency_output, mechanism);
 }
 
 // --- dynamic attempts --------------------------------------------------------
@@ -311,7 +293,7 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
             "impossible without a bound on n unless f is continuous in "
             "frequency (Cor. 5.5)");
       }
-      return run_approximate(
+      return approximate_attempt(
           executor, attempt, truth,
           [&f](const FrequencyPushSumAgent& agent) {
             return f.eval_approximate(agent.normalized_estimates());
@@ -321,7 +303,7 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
     case Knowledge::kUpperBound:
     case Knowledge::kExactSize: {
       const auto bound = static_cast<std::uint32_t>(attempt.parameter);
-      return run_exact(
+      return exact_attempt(
           executor, attempt, truth,
           [&](const FrequencyPushSumAgent& agent) -> std::optional<Rational> {
             const auto nu = agent.rounded_frequency(bound);
@@ -334,7 +316,7 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
     }
     case Knowledge::kLeaders: {
       const std::int64_t leaders = attempt.parameter;
-      return run_exact(
+      return exact_attempt(
           executor, attempt, truth,
           [&](const FrequencyPushSumAgent& agent) -> std::optional<Rational> {
             // ℓ·x[ω] -> integer multiplicities (Section 5.5); accept once
@@ -363,34 +345,6 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
   return failure("unreachable");
 }
 
-AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
-                                    const std::vector<std::int64_t>& inputs,
-                                    const SymmetricFunction& f,
-                                    const Attempt& attempt,
-                                    const Rational& truth);
-
-// Asserts bidirectionality of every round graph: the symmetric-communications
-// network class of Section 2.1 as a checked wrapper.
-class SymmetricCheckedSchedule final : public DynamicGraph {
- public:
-  explicit SymmetricCheckedSchedule(DynamicGraphPtr inner)
-      : inner_(std::move(inner)) {}
-  [[nodiscard]] Vertex vertex_count() const override {
-    return inner_->vertex_count();
-  }
-  [[nodiscard]] Digraph at(int t) const override {
-    Digraph g = inner_->at(t);
-    if (!g.is_symmetric()) {
-      throw std::logic_error(
-          "Metropolis attempt: round graph is not symmetric");
-    }
-    return g;
-  }
-
- private:
-  DynamicGraphPtr inner_;
-};
-
 // Bounded-knowledge symmetric cells: uniform-weight consensus with step 1/N
 // is *degree-oblivious* — a genuine simple-broadcast sending function — so
 // these cells run strictly inside the symmetric-communications model, with
@@ -407,7 +361,7 @@ AttemptResult run_uniform_symmetric(const DynamicGraphPtr& network,
   Executor<FrequencyUniformAgent> executor(
       network, std::move(agents), under<CommModel::kSymmetricBroadcast>,
       attempt.seed);
-  return run_exact(
+  return exact_attempt(
       executor, attempt, truth,
       [&](const FrequencyUniformAgent& agent) -> std::optional<Rational> {
         const auto nu = agent.rounded_frequency();
@@ -419,47 +373,6 @@ AttemptResult run_uniform_symmetric(const DynamicGraphPtr& network,
             "known n"
           : "uniform-weight consensus (degree-oblivious, after [11]) + Q_N "
             "rounding");
-}
-
-AttemptResult run_metropolis_dynamic(const DynamicGraphPtr& network,
-                                     const std::vector<std::int64_t>& inputs,
-                                     const SymmetricFunction& f,
-                                     const Attempt& attempt,
-                                     const Rational& truth) {
-  if (attempt.knowledge == Knowledge::kUpperBound ||
-      attempt.knowledge == Knowledge::kExactSize) {
-    return run_uniform_symmetric(network, inputs, f, attempt, truth);
-  }
-  if (attempt.knowledge == Knowledge::kNone ||
-      attempt.knowledge == Knowledge::kLeaders) {
-    return run_history_symmetric(network, inputs, f, attempt, truth);
-  }
-  std::vector<FrequencyMetropolisAgent> agents;
-  agents.reserve(inputs.size());
-  for (std::int64_t input : inputs) agents.emplace_back(input);
-  // Metropolis weights need round degrees, which the paper provides through
-  // outdegree awareness on a symmetric network (Section 5); we therefore run
-  // the executor in the outdegree-aware model but *verify* the schedule stays
-  // symmetric, matching the paper's setting.
-  Executor<FrequencyMetropolisAgent> executor(
-      std::make_shared<SymmetricCheckedSchedule>(network), std::move(agents),
-      under<CommModel::kOutdegreeAware>, attempt.seed);
-
-  switch (attempt.knowledge) {
-    case Knowledge::kNone:
-      // Handled before the Metropolis executor is built (history-tree
-      // classes; see run_history_symmetric).
-      return failure("unreachable: symmetric no-help handled elsewhere");
-    case Knowledge::kUpperBound:
-    case Knowledge::kExactSize:
-      // Handled before the Metropolis executor is built (degree-oblivious
-      // uniform-weight consensus; see run_uniform_symmetric).
-      return failure("unreachable: bounded symmetric handled elsewhere");
-    case Knowledge::kLeaders:
-      // Handled by run_history_symmetric.
-      return failure("unreachable: symmetric leaders handled elsewhere");
-  }
-  return failure("unreachable");
 }
 
 // No-help and leader cells of the symmetric column: history-tree classes
@@ -489,7 +402,7 @@ AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
 
   if (attempt.knowledge == Knowledge::kLeaders) {
     const std::int64_t leaders = attempt.parameter;
-    return run_exact(
+    return exact_attempt(
         executor, capped, truth,
         [&](const HistoryFrequencyAgent& agent) -> std::optional<Rational> {
           const auto multiset = agent.multiset_estimate(leaders);
@@ -506,7 +419,7 @@ AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
         },
         "history-tree classes + leaders (after Di Luna & Viglietta [25])");
   }
-  return run_exact(
+  return exact_attempt(
       executor, capped, truth,
       [&](const HistoryFrequencyAgent& agent) -> std::optional<Rational> {
         const auto nu = agent.frequency_estimate();
@@ -615,7 +528,13 @@ AttemptResult attempt_dynamic(const DynamicGraphPtr& network,
   if (attempt.model == CommModel::kOutdegreeAware) {
     return run_pushsum_dynamic(network, inputs, f, attempt, truth);
   }
-  return run_metropolis_dynamic(network, inputs, f, attempt, truth);
+  // Symmetric communications. The executor's per-round symmetric check
+  // (kSymmetricBroadcast, kNeedsSymmetricModel) certifies every round graph.
+  if (attempt.knowledge == Knowledge::kUpperBound ||
+      attempt.knowledge == Knowledge::kExactSize) {
+    return run_uniform_symmetric(network, inputs, f, attempt, truth);
+  }
+  return run_history_symmetric(network, inputs, f, attempt, truth);
 }
 
 }  // namespace anonet

@@ -91,26 +91,8 @@ struct PhaseTimings {
 struct ExecutorStats {
   std::int64_t rounds = 0;
   std::int64_t messages_delivered = 0;  // self-loop deliveries included
-  // Sum of message weights (see message_weight below) over all deliveries —
-  // a bandwidth proxy. Equals messages_delivered when no message type
-  // declares a weight.
-  std::int64_t payload_units = 0;
   PhaseTimings timings;
 };
-
-// Bandwidth accounting hook: a message type may expose
-//     std::int64_t weight_units() const;
-// (e.g. number of scalar fields it carries); unit weight otherwise.
-template <typename M>
-[[nodiscard]] std::int64_t message_weight(const M& message) {
-  if constexpr (requires {
-                  { message.weight_units() } -> std::convertible_to<std::int64_t>;
-                }) {
-    return message.weight_units();
-  } else {
-    return 1;
-  }
-}
 
 // Throws std::invalid_argument unless every vertex's out-edges are colored
 // with exactly the ports 1..outdegree. The verdict is cached on the graph
@@ -371,9 +353,6 @@ class Executor {
       if (edge_outbox_.size() < edge_total) edge_outbox_.resize(edge_total);
     } else {
       if (outbox_.size() < n) outbox_.resize(n);
-      if constexpr (kWeighted) {
-        if (outbox_weight_.size() < n) outbox_weight_.resize(n);
-      }
     }
     if (arena_.size() < edge_total) arena_.resize(edge_total);
 
@@ -447,13 +426,6 @@ class Executor {
                  } else {
                    const int visible = sees_outdegree(model_) ? d : 0;
                    outbox_[static_cast<std::size_t>(i)] = agent.send(visible, 0);
-                   if constexpr (kWeighted) {
-                     // Isotropic broadcast replicates one message to all
-                     // out-neighbors: weigh it once per sender, not once per
-                     // delivery (heavy payloads make the difference).
-                     outbox_weight_[static_cast<std::size_t>(i)] =
-                         message_weight(outbox_[static_cast<std::size_t>(i)]);
-                   }
                    if (metering) {
                      // Measure once per sender; the channel carries it once
                      // per out-edge (self-loop included), matching the
@@ -536,17 +508,11 @@ class Executor {
                      const auto slot =
                          static_cast<std::size_t>(in_edge_[base + k]);
                      arena_[base + got] = &edge_outbox_[slot];
-                     local.payload += message_weight(edge_outbox_[slot]);
                      if (metering) local.recv_bits += edge_outbox_bits_[slot];
                    } else {
                      const auto src =
                          static_cast<std::size_t>(in_source_[base + k]);
                      arena_[base + got] = &outbox_[src];
-                     if constexpr (kWeighted) {
-                       local.payload += outbox_weight_[src];
-                     } else {
-                       local.payload += 1;
-                     }
                      if (metering) local.recv_bits += outbox_bits_[src];
                    }
                    ++got;
@@ -574,7 +540,6 @@ class Executor {
     for (std::int64_t b = 0; b < deliver_blocks; ++b) {
       const Partial& p = partials_[static_cast<std::size_t>(b)];
       stats_.messages_delivered += p.messages;
-      stats_.payload_units += p.payload;
       round_bits.bits_received += p.recv_bits;
     }
     if (metering) meter_.record_round(round_bits);
@@ -607,10 +572,6 @@ class Executor {
   [[nodiscard]] int threads() const { return threads_; }
 
  private:
-  static constexpr bool kWeighted = requires(const Message& m) {
-    { m.weight_units() } -> std::convertible_to<std::int64_t>;
-  };
-
   // Per-block partial statistics, reduced in block order after each phase
   // (deterministic regardless of which worker ran which block). The same
   // array serves both phases: the send phase fills the bit fields when a
@@ -619,11 +580,10 @@ class Executor {
   // counts. Bit totals are integer sums and maxima, so the reduced values
   // are independent of thread count and block assignment by construction.
   // Padded to a cache line: adjacent blocks usually run on different
-  // workers, and the five counters would otherwise share lines and bounce
+  // workers, and the four counters would otherwise share lines and bounce
   // between cores on every delivery.
   struct alignas(64) Partial {
     std::int64_t messages = 0;
-    std::int64_t payload = 0;
     std::int64_t sent_bits = 0;  // send phase: bits pushed onto out-edges
     std::int64_t max_bits = 0;   // send phase: largest single message
     std::int64_t recv_bits = 0;  // deliver phase: bits gathered from in-edges
@@ -755,7 +715,6 @@ class Executor {
   std::vector<Vertex> in_source_;          // slot -> sender (isotropic path)
   std::vector<const Message*> arena_;      // delivered messages, receiver-major
   std::vector<Message> outbox_;            // one message per sender (isotropic)
-  std::vector<std::int64_t> outbox_weight_;  // per-sender weight (isotropic)
   std::vector<Message> edge_outbox_;       // one message per edge (port-aware)
   std::vector<Partial> partials_;          // per-block per-phase stats
   // Adaptive-grain state (grain_for): measured per-item phase cost EWMAs

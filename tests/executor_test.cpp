@@ -158,27 +158,6 @@ TEST(Executor, StatsCountRoundsAndMessages) {
   exec.run(5);
   EXPECT_EQ(exec.stats().rounds, 5);
   EXPECT_EQ(exec.stats().messages_delivered, 5 * 16);
-  // ProbeAgent declares no weight: payload defaults to one unit/message.
-  EXPECT_EQ(exec.stats().payload_units, 5 * 16);
-}
-
-// Message type with a declared bandwidth weight.
-struct WeightedAgent {
-  struct Message {
-    int payload = 3;
-    [[nodiscard]] std::int64_t weight_units() const { return 7; }
-  };
-  Message send(int, int) const { return {}; }
-  void receive(Inbox<Message> /*messages*/) {}
-};
-
-TEST(Executor, PayloadUnitsUseDeclaredWeights) {
-  auto net = std::make_shared<StaticSchedule>(complete_graph(3));
-  Executor<WeightedAgent> exec(net, std::vector<WeightedAgent>(3),
-                               CommModel::kSimpleBroadcast);
-  exec.run(2);
-  EXPECT_EQ(exec.stats().messages_delivered, 2 * 9);
-  EXPECT_EQ(exec.stats().payload_units, 7 * 2 * 9);
 }
 
 TEST(Executor, ShuffleSeedChangesDeliveryOrderNotContent) {
@@ -304,8 +283,6 @@ TEST(ExecutorDeterminism, ThreadCountInvariantForAllModels) {
       EXPECT_EQ(serial_stats.rounds, parallel_stats.rounds) << c.name;
       EXPECT_EQ(serial_stats.messages_delivered,
                 parallel_stats.messages_delivered)
-          << c.name;
-      EXPECT_EQ(serial_stats.payload_units, parallel_stats.payload_units)
           << c.name;
     }
   }

@@ -9,7 +9,8 @@
 // same-file helper, reporting the chain.
 
 #include <cstdint>
-#include <vector>
+
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -35,7 +36,7 @@ class SlottedEchoAgent {
     return Message{state_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) {
       state_ += pick_slot(m.payload);
     }

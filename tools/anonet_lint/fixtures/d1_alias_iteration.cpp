@@ -14,6 +14,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "runtime/inbox.hpp"
+
 namespace anonet_fixtures {
 
 using Tally = std::unordered_map<std::int64_t, std::int64_t>;
@@ -27,7 +29,7 @@ class AliasedHistogramAgent {
 
   static constexpr bool kParallelSafe = true;
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) {
       for (std::int64_t k : m.keys) counts_[k] += 1;
     }

@@ -12,7 +12,8 @@
 // a regression that re-flags it reintroduces the v1 false positive.
 
 #include <cstdint>
-#include <vector>
+
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -32,7 +33,7 @@ class MeteredFanoutAgent {
     return Message{state_ / (outdegree + 1) + port};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) state_ += m.share;
   }
 
@@ -54,7 +55,7 @@ class ForwardingShimAgent {
     return inner_.send(outdegree, port);
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     inner_.receive(messages);
   }
 

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/inbox.hpp"
+
 namespace anonet_fixtures {
 
 struct MiniGraph {
@@ -46,7 +48,7 @@ class CalibratedGossipAgent {
     return Message{value_ / (split_hint_ + 1)};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

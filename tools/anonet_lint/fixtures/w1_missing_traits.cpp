@@ -9,7 +9,8 @@
 // UnmeteredAgent::Message is the violation.
 
 #include <cstdint>
-#include <vector>
+
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -31,7 +32,7 @@ class UnmeteredAgent {
     return Message{value_, round_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
     ++round_;
   }

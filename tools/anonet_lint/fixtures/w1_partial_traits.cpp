@@ -7,7 +7,8 @@
 // names the missing ones.
 
 #include <cstdint>
-#include <vector>
+
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -23,7 +24,7 @@ class HalfCodecAgent {
     return Message{value_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <vector>
 
+#include "runtime/inbox.hpp"
+
 namespace anonet_fixtures {
 
 namespace wire {
@@ -42,7 +44,7 @@ class PayloadAgent {
     return Message{value_, round_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
     ++round_;
   }
