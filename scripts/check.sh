@@ -98,7 +98,7 @@ fi
 if want lint; then
   banner "anonet_lint (src/ + examples/)"
   compile_db="$repo_root/build-check/compile_commands.json"
-  lint_args=("$repo_root/src" "$repo_root/examples")
+  lint_args=(--root "$repo_root" "$repo_root/src" "$repo_root/examples")
   if [ -f "$compile_db" ]; then
     lint_args=(--compile-commands "$compile_db" "${lint_args[@]}")
   fi

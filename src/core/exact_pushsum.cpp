@@ -11,13 +11,14 @@ ExactPushSumAgent::ExactPushSumAgent(Rational value, Rational weight)
   }
 }
 
-ExactPushSumAgent::Message ExactPushSumAgent::send(int outdegree,
-                                                   int /*port*/) const {
+void ExactPushSumAgent::send(Message& out, int outdegree,
+                             int /*port*/) const {
   if (outdegree <= 0) {
     throw std::logic_error("ExactPushSumAgent: requires outdegree awareness");
   }
   const Rational divisor(outdegree);
-  return Message{y_ / divisor, z_ / divisor};
+  out.y_share = y_ / divisor;
+  out.z_share = z_ / divisor;
 }
 
 void ExactPushSumAgent::receive(Inbox<Message> messages) {

@@ -35,7 +35,7 @@ class ExactPushSumAgent {
   // z(0) must be positive; x = y/z converges to Σvalues / Σweights.
   ExactPushSumAgent(Rational value, Rational weight);
 
-  [[nodiscard]] Message send(int outdegree, int /*port*/) const;
+  void send(Message& out, int outdegree, int /*port*/) const;
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] const Rational& y() const { return y_; }

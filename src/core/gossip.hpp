@@ -48,9 +48,10 @@ class SetGossipAgent {
     known_.insert(input);
   }
 
-  // Simple broadcast: the message depends on the state alone.
-  [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const {
-    return Message{{known_.begin(), known_.end()}};
+  // Simple broadcast: the message depends on the state alone. Assigns into
+  // `out`, so the outbox slot's vector keeps its capacity.
+  void send(Message& out, int /*outdegree*/, int /*port*/) const {
+    out.values.assign(known_.begin(), known_.end());
   }
 
   void receive(Inbox<Message> messages) {

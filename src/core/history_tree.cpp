@@ -21,12 +21,11 @@ HistoryFrequencyAgent::HistoryFrequencyAgent(
   }
 }
 
-HistoryFrequencyAgent::Message HistoryFrequencyAgent::send(int /*outdegree*/,
-                                                           int /*port*/) const {
-  const ViewId current = view_ == kInvalidView
-                             ? registry_->leaf(codec_->value_label(input_))
-                             : view_;
-  return Message{current};
+void HistoryFrequencyAgent::send(Message& out, int /*outdegree*/,
+                                 int /*port*/) const {
+  out.view = view_ == kInvalidView
+                 ? registry_->leaf(codec_->value_label(input_))
+                 : view_;
 }
 
 void HistoryFrequencyAgent::receive(Inbox<Message> messages) {

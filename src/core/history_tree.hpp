@@ -71,7 +71,7 @@ class HistoryFrequencyAgent {
   HistoryFrequencyAgent(std::shared_ptr<ViewRegistry> registry,
                         std::shared_ptr<LabelCodec> codec, std::int64_t input);
 
-  [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const;
+  void send(Message& out, int /*outdegree*/, int /*port*/) const;
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }

@@ -14,13 +14,12 @@ double metropolis_weight(int degree_a, int degree_b) {
 
 }  // namespace
 
-MetropolisAgent::Message MetropolisAgent::send(int outdegree,
-                                               int /*port*/) const {
+void MetropolisAgent::send(Message& out, int outdegree, int /*port*/) const {
   if (outdegree <= 0) {
     throw std::logic_error("MetropolisAgent: requires outdegree awareness");
   }
   degree_ = outdegree;
-  return Message{x_, outdegree};
+  out = Message{x_, outdegree};
 }
 
 void MetropolisAgent::receive(Inbox<Message> messages) {
@@ -39,14 +38,16 @@ FrequencyMetropolisAgent::FrequencyMetropolisAgent(std::int64_t input)
   xs_.push_back(1.0);
 }
 
-FrequencyMetropolisAgent::Message FrequencyMetropolisAgent::send(
-    int outdegree, int /*port*/) const {
+void FrequencyMetropolisAgent::send(Message& out, int outdegree,
+                                    int /*port*/) const {
   if (outdegree <= 0) {
     throw std::logic_error(
         "FrequencyMetropolisAgent: requires outdegree awareness");
   }
   degree_ = outdegree;
-  return Message{keys_, xs_, outdegree};
+  out.keys = keys_;
+  out.xs = xs_;
+  out.degree = outdegree;
 }
 
 void FrequencyMetropolisAgent::receive(Inbox<Message> messages) {

@@ -59,7 +59,7 @@ class MetropolisAgent {
 
   explicit MetropolisAgent(double value) : x_(value) {}
 
-  [[nodiscard]] Message send(int outdegree, int /*port*/) const;
+  void send(Message& out, int outdegree, int /*port*/) const;
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] double output() const { return x_; }
@@ -95,7 +95,8 @@ class FrequencyMetropolisAgent {
 
   explicit FrequencyMetropolisAgent(std::int64_t input);
 
-  [[nodiscard]] Message send(int outdegree, int /*port*/) const;
+  // Assigns into `out`, so the outbox slot's vectors keep their capacity.
+  void send(Message& out, int outdegree, int /*port*/) const;
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }

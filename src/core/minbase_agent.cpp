@@ -32,11 +32,11 @@ int MinBaseAgent::own_label() const {
   return codec_->value_label(input_);
 }
 
-MinBaseAgent::Message MinBaseAgent::send(int outdegree, int port) const {
+void MinBaseAgent::send(Message& out, int outdegree, int port) const {
   if (sees_outdegree(model_)) observed_outdegree_ = outdegree;
   const ViewId current =
       view_ == kInvalidView ? registry_->leaf(own_label()) : view_;
-  return Message{current, port};
+  out = Message{current, port};
 }
 
 void MinBaseAgent::receive(Inbox<Message> messages) {

@@ -66,7 +66,7 @@ class MinBaseAgent {
                std::shared_ptr<LabelCodec> codec, std::int64_t input,
                CommModel model, int max_view_depth = 0);
 
-  [[nodiscard]] Message send(int outdegree, int port) const;
+  void send(Message& out, int outdegree, int port) const;
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }

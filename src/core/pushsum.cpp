@@ -14,12 +14,12 @@ PushSumAgent::PushSumAgent(double value, double weight)
   }
 }
 
-PushSumAgent::Message PushSumAgent::send(int outdegree, int /*port*/) const {
+void PushSumAgent::send(Message& out, int outdegree, int /*port*/) const {
   if (outdegree <= 0) {
     throw std::logic_error("PushSumAgent: requires outdegree awareness");
   }
   const double d = static_cast<double>(outdegree);
-  return Message{y_ / d, z_ / d};
+  out = Message{y_ / d, z_ / d};
 }
 
 void PushSumAgent::receive(Inbox<Message> messages) {
@@ -43,13 +43,16 @@ FrequencyPushSumAgent::FrequencyPushSumAgent(std::int64_t input,
   zs_.push_back(z_default_);
 }
 
-FrequencyPushSumAgent::Message FrequencyPushSumAgent::send(
-    int outdegree, int /*port*/) const {
+void FrequencyPushSumAgent::send(Message& out, int outdegree,
+                                 int /*port*/) const {
   if (outdegree <= 0) {
     throw std::logic_error(
         "FrequencyPushSumAgent: requires outdegree awareness");
   }
-  return Message{keys_, ys_, zs_, outdegree};
+  out.keys = keys_;
+  out.ys = ys_;
+  out.zs = zs_;
+  out.outdegree = outdegree;
 }
 
 void FrequencyPushSumAgent::receive(Inbox<Message> messages) {
@@ -70,6 +73,32 @@ void FrequencyPushSumAgent::receive(Inbox<Message> messages) {
   // contributes at most one add per value), identical whether the outer loop
   // runs value-major over a map or message-major over vectors — so this SoA
   // merge is bit-for-bit the same as the original map-based update.
+  //
+  // Steady state: every message carries exactly this agent's key set. The
+  // union is then keys_ and nothing is banked, so the sums accumulate
+  // straight into ys_ and zs_, in inbox order — the float order of the
+  // merge below, without its copies and swaps. The messages alias the
+  // senders' outbox slots, never this agent's state.
+  bool steady = !messages.empty();
+  for (const Message& m : messages) {
+    if (m.keys != keys_) {
+      steady = false;
+      break;
+    }
+  }
+  if (steady) {
+    std::fill(ys_.begin(), ys_.end(), 0.0);
+    std::fill(zs_.begin(), zs_.end(), 0.0);
+    for (const Message& m : messages) {
+      const double d = static_cast<double>(m.outdegree);
+      for (std::size_t i = 0; i < keys_.size(); ++i) {
+        ys_[i] += m.ys[i] / d;
+        zs_[i] += m.zs[i] / d;
+      }
+    }
+    return;
+  }
+
   merged_.clear();
   bool uniform = !messages.empty();
   for (const Message& m : messages) {

@@ -62,7 +62,7 @@ class PushSumAgent {
   PushSumAgent(double value, double weight);
 
   // Outdegree awareness: shares are the state split d ways.
-  [[nodiscard]] Message send(int outdegree, int /*port*/) const;
+  void send(Message& out, int outdegree, int /*port*/) const;
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] double y() const { return y_; }
@@ -104,7 +104,15 @@ class FrequencyPushSumAgent {
   explicit FrequencyPushSumAgent(std::int64_t input,
                                  std::optional<bool> is_leader = std::nullopt);
 
-  [[nodiscard]] Message send(int outdegree, int /*port*/) const;
+  // Assigns into `out`, so the outbox slot's vectors keep their capacity.
+  void send(Message& out, int outdegree, int /*port*/) const;
+  // The same message by value, for callers outside the executor that
+  // inspect an agent's state (outdegree 1 leaves it unsplit).
+  [[nodiscard]] Message send(int outdegree, int /*port*/) const {
+    Message message;
+    send(message, outdegree, 0);
+    return message;
+  }
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }
@@ -134,9 +142,10 @@ class FrequencyPushSumAgent {
   std::vector<std::int64_t> keys_;
   std::vector<double> ys_;
   std::vector<double> zs_;
-  // Receive-phase scratch, kept across rounds so steady state allocates
-  // nothing: the merged key union and its (y, z) accumulators, swapped into
-  // the state vectors at the end of every receive.
+  // Receive-phase scratch for rounds that change the key set, kept across
+  // rounds: the merged key union and its (y, z) accumulators, swapped into
+  // the state vectors at the end of such a receive. Steady rounds
+  // accumulate into the state directly and never touch it.
   std::vector<std::int64_t> merged_;
   std::vector<double> acc_y_;
   std::vector<double> acc_z_;

@@ -49,8 +49,8 @@ class UniformWeightAgent {
   // `bound_on_n` is the common knowledge N >= n.
   UniformWeightAgent(double value, std::uint32_t bound_on_n);
 
-  [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const {
-    return Message{x_};
+  void send(Message& out, int /*outdegree*/, int /*port*/) const {
+    out.x = x_;
   }
   void receive(Inbox<Message> messages);
 
@@ -81,8 +81,9 @@ class FrequencyUniformAgent {
 
   FrequencyUniformAgent(std::int64_t input, std::uint32_t bound_on_n);
 
-  [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const {
-    return Message{x_};
+  // Map assignment reuses the outbox slot's nodes.
+  void send(Message& out, int /*outdegree*/, int /*port*/) const {
+    out.x = x_;
   }
   void receive(Inbox<Message> messages);
 

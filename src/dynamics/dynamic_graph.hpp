@@ -19,7 +19,9 @@ namespace anonet {
 // this round). Borrowed views are what lets the executor skip per-round
 // graph copies and key its per-graph caches (validation verdicts, arena
 // offsets) on object identity: a borrowed pointer is stable for the
-// lifetime of the schedule, so `&view.get()` identifies the topology.
+// lifetime of the schedule, and a schedule never builds a new graph into
+// the storage it lent on its previous view() call, so two consecutive
+// views at one address carry the same topology.
 class RoundGraphRef {
  public:
   // Owned: wraps a freshly built graph (identity is NOT stable across

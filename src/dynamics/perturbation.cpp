@@ -93,23 +93,54 @@ bool ChurnSchedule::present(Vertex v, int t) const {
                     static_cast<std::uint64_t>(v))() >= leave_threshold_;
 }
 
+Digraph ChurnSchedule::churned(const Digraph& inner, int t) const {
+  const auto n = static_cast<std::size_t>(inner.vertex_count());
+  std::vector<unsigned char> member(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    member[v] = present(static_cast<Vertex>(v), t) ? 1 : 0;
+  }
+  Digraph g(inner.vertex_count());
+  g.reserve_edges(inner.edges().size());
+  std::vector<unsigned char> looped(n, 0);
+  for (const Edge& e : inner.edges()) {
+    const auto source = static_cast<std::size_t>(e.source);
+    if (e.source == e.target) {
+      looped[source] = 1;
+    } else if (!member[source] ||
+               !member[static_cast<std::size_t>(e.target)]) {
+      continue;
+    }
+    g.add_edge(e.source, e.target, e.color);
+  }
+  // Digraph::ensure_self_loops, without building the adjacency lists.
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!looped[v]) g.add_edge(static_cast<Vertex>(v), static_cast<Vertex>(v));
+  }
+  return g;
+}
+
 Digraph ChurnSchedule::at(int t) const {
   require_round(t);
-  const Digraph inner = inner_->at(t);
-  Digraph g(inner.vertex_count());
-  for (const Edge& e : inner.edges()) {
-    if (e.source == e.target ||
-        (present(e.source, t) && present(e.target, t))) {
-      g.add_edge(e.source, e.target, e.color);
-    }
-  }
-  g.ensure_self_loops();
-  return g;
+  const RoundGraphRef inner = inner_->view(t);
+  return churned(inner.get(), t);
 }
 
 RoundGraphRef ChurnSchedule::view(int t) const {
   require_round(t);
-  return RoundGraphRef(cache_.get(t, [this](int round) { return at(round); }));
+  const RoundGraphRef inner = inner_->view(t);
+  const int epoch = (t - 1) / epoch_length_;
+  // The inner schedule never builds into the storage it lent on its
+  // previous call, so an unchanged borrowed address is an unchanged inner
+  // graph; within one epoch membership is unchanged too, so the graph lent
+  // last is this round's. An owned inner graph is rebuilt every call.
+  const Digraph* source = inner.is_borrowed() ? &inner.get() : nullptr;
+  if (source == nullptr || source != lent_inner_ || epoch != lent_epoch_) {
+    lent_ = lent_ == 0 ? 1 : 0;  // never rebuild the slot lent last
+    slots_[lent_] = churned(inner.get(), t);
+    lent_epoch_ = epoch;
+    lent_inner_ = source;
+  }
+  return RoundGraphRef(&slots_[lent_]);
 }
 
 Digraph preferential_attachment_graph(Vertex n, int m, std::uint64_t seed) {

@@ -113,9 +113,13 @@ struct FaultPlan {
 // Epoch 1 (rounds 1..epoch_length) always has full membership so every
 // input value is heard at least once, and vertex 0 is a permanent anchor
 // so the population never empties. at(t) is a pure function of
-// (construction arguments, t); like the random schedules, the borrowed
-// view goes through a RoundGraphCache and must not be shared between
-// concurrently stepping executors.
+// (construction arguments, t). view(t) builds one churned graph per epoch
+// and lends it for every round of the epoch while the inner schedule
+// lends the same graph object (a static inner schedule lends one object
+// throughout), so an executor reuses its topology for the whole epoch.
+// Like the random schedules it keeps mutable round storage: it must not be
+// shared between concurrently stepping executors, and an inner schedule
+// with a round cache must not be read by anyone else in between.
 class ChurnSchedule final : public DynamicGraph {
  public:
   ChurnSchedule(DynamicGraphPtr inner, int epoch_length, double churn_rate,
@@ -125,18 +129,27 @@ class ChurnSchedule final : public DynamicGraph {
     return inner_->vertex_count();
   }
   [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed through the double-buffered round cache (see RoundGraphCache).
+  // Borrowed: the same stored graph for every round of an epoch (see the
+  // class comment), built into the other of two slots when it changes.
   [[nodiscard]] RoundGraphRef view(int t) const override;
 
   // Is vertex v a member during round t?
   [[nodiscard]] bool present(Vertex v, int t) const;
 
  private:
+  // The inner round-t graph without the edges of absent vertices.
+  [[nodiscard]] Digraph churned(const Digraph& inner, int t) const;
+
   DynamicGraphPtr inner_;
   int epoch_length_;
   std::uint64_t leave_threshold_;
   std::uint64_t seed_;
-  RoundGraphCache cache_;
+  // What view() lent last: its slot, the epoch it was built for, and the
+  // borrowed inner graph it was built from (null: owned).
+  mutable Digraph slots_[2];
+  mutable int lent_ = -1;
+  mutable int lent_epoch_ = -1;
+  mutable const Digraph* lent_inner_ = nullptr;
 };
 
 // Barabási–Albert style preferential attachment: vertex i attaches to

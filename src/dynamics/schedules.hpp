@@ -46,12 +46,13 @@ class PeriodicSchedule final : public DynamicGraph {
 // copies, re-validates) a graph every round; with it the schedule builds
 // the round graph once into stable storage and lends it out.
 //
-// Two slots alternate between consecutive materialized rounds, so the
-// borrowed address *changes* whenever the topology changes — this is what
-// keeps the executor's address-keyed caches (arena offsets, validation
-// verdicts) honest: reusing one slot would present a different random graph
-// at an unchanged address. A borrowed ref for round t therefore stays valid
-// until the cache materializes a second further round. Like the Digraph
+// Two slots alternate, and a round is never built into the slot the
+// previous get() lent, so the borrowed address *changes* whenever the
+// topology changes — this is what keeps the executor's address-keyed caches
+// (receiver CSR, validation verdicts) honest: reusing one slot would
+// present a different random graph at an unchanged address. A borrowed ref
+// therefore stays valid until one further, different round has been
+// materialized after the call that lent it. Like the Digraph
 // adjacency cache, the slots are an unsynchronized mutable const path: a
 // schedule with a round cache must not be shared between concurrently
 // stepping executors — give each executor (each campaign cell) its own
@@ -62,8 +63,11 @@ class RoundGraphCache {
   // already cached (repeated view(t) calls lend the same object).
   template <typename BuildFn>
   [[nodiscard]] const Digraph* get(int t, BuildFn&& build) const {
-    for (const Slot& slot : slots_) {
-      if (slot.round == t) return &slot.graph;
+    for (int i = 0; i < 2; ++i) {
+      if (slots_[i].round == t) {
+        next_ = 1 - i;  // keep the slot just lent out of the next build
+        return &slots_[i].graph;
+      }
     }
     Slot& slot = slots_[next_];
     next_ = 1 - next_;

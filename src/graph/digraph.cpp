@@ -21,7 +21,6 @@ EdgeId Digraph::add_edge(Vertex source, Vertex target, EdgeColor color) {
 
 void Digraph::invalidate_caches() {
   adjacency_valid_ = false;
-  self_loops_cache_.reset();
   symmetric_cache_.reset();
   output_ports_cache_.reset();
 }
@@ -93,17 +92,11 @@ int Digraph::edge_multiplicity(Vertex source, Vertex target) const {
 }
 
 bool Digraph::has_all_self_loops() const {
-  if (self_loops_cache_.get() < 0) {
-    bool verdict = true;
-    for (Vertex v = 0; v < vertex_count_; ++v) {
-      if (!has_edge(v, v)) {
-        verdict = false;
-        break;
-      }
-    }
-    self_loops_cache_.set(verdict);
+  std::vector<bool> looped(static_cast<std::size_t>(vertex_count_), false);
+  for (const Edge& e : edges_) {
+    if (e.source == e.target) looped[static_cast<std::size_t>(e.source)] = true;
   }
-  return self_loops_cache_.get() != 0;
+  return std::find(looped.begin(), looped.end(), false) == looped.end();
 }
 
 int Digraph::ensure_self_loops() {

@@ -74,6 +74,8 @@ class Digraph {
 
   // Returns the id of the new edge. Invalidates adjacency spans.
   EdgeId add_edge(Vertex source, Vertex target, EdgeColor color = kNoColor);
+  // Capacity for `count` edges; no observable change otherwise.
+  void reserve_edges(std::size_t count) { edges_.reserve(count); }
 
   [[nodiscard]] const Edge& edge(EdgeId id) const { return edges_[static_cast<std::size_t>(id)]; }
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
@@ -126,14 +128,14 @@ class Digraph {
   mutable std::vector<std::int32_t> in_start_, out_start_;
 
   // Cached validation verdicts, keyed on this graph object: the executor
-  // validates each round graph once instead of re-walking the edge set every
-  // round. Copies carry the verdicts along (they describe the edge multiset,
-  // which is copied too); any mutation resets them. Atomic, so concurrent
-  // const verdict queries on a shared graph are race-free; the lazy
-  // adjacency cache is the remaining unsynchronized const path — force it
-  // (any in_edges/out_edges call) before sharing a graph across threads, as
-  // Executor::prepare_topology does.
-  mutable CachedVerdict self_loops_cache_;
+  // checks symmetry and output ports of each round graph once instead of
+  // re-walking the edge set every round. Copies carry the verdicts along
+  // (they describe the edge multiset, which is copied too); any mutation
+  // resets them. Atomic, so concurrent const verdict queries on a shared
+  // graph are race-free; the lazy adjacency cache is the remaining
+  // unsynchronized const path — force it (any in_edges/out_edges call)
+  // before sharing a graph across threads, as Executor::prepare_topology
+  // does for the port-aware send.
   mutable CachedVerdict symmetric_cache_;
   mutable CachedVerdict output_ports_cache_;
 };

@@ -16,16 +16,19 @@
 // extract information from arrival order (it receives a multiset, not a
 // sequence); tests exploit this to verify order independence.
 //
-// Round engine (docs/round_engine.md): rounds run over a flat arena of
-// message pointers addressed by receiver-CSR offsets. Receivers read each
-// message in place, from the sender's outbox slot, through an Inbox view,
-// so a round allocates no inbox and copies no message per delivery. The
-// send and deliver phases are optionally parallelized over vertex blocks on
-// a persistent ThreadPool. Each inbox is shuffled by a counter-based RNG
-// keyed on (seed, round, vertex), so execution is bitwise-identical across
-// thread counts. Round graphs are obtained through DynamicGraph::view(t):
-// schedules with stable storage lend their graph instead of copying it, and
-// validation verdicts are cached per graph object.
+// Round engine (docs/round_engine.md): senders write their message into
+// their own outbox slot, reusing its storage, and rounds run over a flat
+// arena of message pointers addressed by the executor's receiver-CSR
+// offsets. Receivers read each message in place, from the sender's outbox
+// slot, through an Inbox view, so a round allocates no inbox and copies no
+// message per delivery. The send and deliver phases are optionally
+// parallelized over vertex blocks on a persistent ThreadPool. Each inbox is
+// shuffled by a counter-based RNG keyed on (seed, round, vertex), so
+// execution is bitwise-identical across thread counts. Round graphs are
+// obtained through DynamicGraph::view(t): schedules with stable storage
+// lend their graph instead of copying it, and the CSR, the self-loop check
+// and the cached validation verdicts are reused while the same graph
+// object is lent.
 
 #include <algorithm>
 #include <chrono>
@@ -50,7 +53,12 @@
 namespace anonet {
 
 // An agent exposes a message type, a sending function, and a transition.
-//   Message send(int outdegree, int port) const;
+//   void send(Message& out, int outdegree, int port) const;
+//     writes the round's message into `out`, the sender's outbox slot. The
+//       slot still holds the message this sender wrote there in an earlier
+//       round (or a default-constructed one), so an agent whose message owns
+//       heap storage assigns into it and reuses its capacity: a steady
+//       round then allocates nothing;
 //     outdegree: 0 when the model hides it, else the round outdegree
 //       (self-loop included);
 //     port: 0 for isotropic models, else the output port in [1, outdegree].
@@ -60,10 +68,11 @@ namespace anonet {
 //     the call (runtime/inbox.hpp): copy what must outlive it.
 template <typename A>
 concept AnonymousAgent =
-    requires(const A const_agent, A agent, Inbox<typename A::Message> inbox) {
+    requires(const A const_agent, A agent, typename A::Message& slot,
+             Inbox<typename A::Message> inbox) {
       typename A::Message;
       requires std::default_initializable<typename A::Message>;
-      { const_agent.send(0, 0) } -> std::same_as<typename A::Message>;
+      { const_agent.send(slot, 0, 0) } -> std::same_as<void>;
       { agent.receive(inbox) };
     };
 
@@ -322,9 +331,11 @@ class Executor {
     if (g.vertex_count() != network_->vertex_count()) {
       throw std::logic_error("Executor: schedule changed vertex count");
     }
-    if (!g.has_all_self_loops()) {
-      throw std::logic_error("Executor: round graph misses a self-loop");
-    }
+    const auto n = static_cast<std::size_t>(g.vertex_count());
+    const auto edge_total = static_cast<std::size_t>(g.edge_count());
+    // Receiver CSR, outdegrees and the self-loop check, in one pass over
+    // the edges; skipped when the schedule lends last round's graph again.
+    prepare_topology(ref, g, n, edge_total);
     // kSymmetricOnly agents get their network-class assumption verified
     // under every model (Metropolis runs under kOutdegreeAware but is only
     // correct on bidirectional round graphs); the verdict is cached on the
@@ -343,10 +354,6 @@ class Executor {
           "ModelCapabilities::kSymmetricOnly");
     }
     if (model_ == CommModel::kOutputPortAware) validate_output_ports(g);
-
-    const auto n = static_cast<std::size_t>(g.vertex_count());
-    const auto edge_total = static_cast<std::size_t>(g.edge_count());
-    prepare_topology(ref, g, n, edge_total);
 
     const bool port_aware = model_ == CommModel::kOutputPortAware;
     if (port_aware) {
@@ -406,13 +413,13 @@ class Executor {
                        active ? 1 : 0;
                    if (!active) continue;
                  }
-                 const auto out = g.out_edges(v);
-                 const int d = static_cast<int>(out.size());
                  const Alg& agent = agents_[static_cast<std::size_t>(i)];
                  if (port_aware) {
+                   const auto out = g.out_edges(v);
+                   const int d = static_cast<int>(out.size());
                    for (EdgeId id : out) {
-                     edge_outbox_[static_cast<std::size_t>(id)] =
-                         agent.send(d, static_cast<int>(g.edge(id).color));
+                     agent.send(edge_outbox_[static_cast<std::size_t>(id)], d,
+                                static_cast<int>(g.edge(id).color));
                    }
                    if (metering) {
                      for (EdgeId id : out) {
@@ -424,8 +431,9 @@ class Executor {
                      }
                    }
                  } else {
-                   const int visible = sees_outdegree(model_) ? d : 0;
-                   outbox_[static_cast<std::size_t>(i)] = agent.send(visible, 0);
+                   const int d = out_degree_[static_cast<std::size_t>(i)];
+                   agent.send(outbox_[static_cast<std::size_t>(i)],
+                              sees_outdegree(model_) ? d : 0, 0);
                    if (metering) {
                      // Measure once per sender; the channel carries it once
                      // per out-edge (self-loop included), matching the
@@ -642,11 +650,17 @@ class Executor {
     }
   }
 
-  // (Re)builds the receiver-CSR arena offsets and the slot-aligned
-  // topology arrays for g. Skipped entirely when the schedule lends the
-  // same graph object as last round (borrowed views have stable identity);
-  // fresh owned graphs rebuild in O(n + E). Also forces the graph's
-  // adjacency cache so the parallel phases never race to build it lazily.
+  // (Re)builds the receiver CSR (arena offsets plus the slot-aligned edge
+  // and sender arrays) and the per-vertex outdegrees for g, checking on the
+  // way that every vertex has a self-loop. One counting pass over
+  // g.edges() and one fill pass in ascending edge-id order, so each
+  // receiver's slots keep the edge order the shuffle starts from. Skipped
+  // entirely when the schedule lends the same graph object as last round
+  // (borrowed views have stable identity, and a schedule never rebuilds the
+  // storage it lent the round before); fresh owned graphs rebuild in
+  // O(n + E). The port-aware send walks g.out_edges, so that path forces
+  // the graph's lazy adjacency here, before the parallel phases could race
+  // to build it.
   void prepare_topology(const RoundGraphRef& ref, const Digraph& g,
                         std::size_t n, std::size_t edge_total) {
     if (ref.is_borrowed() && topology_key_ == &g &&
@@ -654,22 +668,38 @@ class Executor {
         in_offset_[n] == edge_total) {
       return;
     }
-    in_offset_.resize(n + 1);
+    topology_key_ = nullptr;
+    in_offset_.assign(n + 1, 0);
+    out_degree_.assign(n, 0);
+    has_self_loop_.assign(n, 0);
     if (in_edge_.size() < edge_total) in_edge_.resize(edge_total);
     if (in_source_.size() < edge_total) in_source_.resize(edge_total);
-    std::size_t offset = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      in_offset_[v] = offset;
-      for (EdgeId id : g.in_edges(static_cast<Vertex>(v))) {
-        in_edge_[offset] = id;
-        in_source_[offset] = g.edge(id).source;
-        ++offset;
+    const std::vector<Edge>& edges = g.edges();
+    for (const Edge& e : edges) {
+      ++in_offset_[static_cast<std::size_t>(e.target) + 1];
+      ++out_degree_[static_cast<std::size_t>(e.source)];
+      if (e.source == e.target) {
+        has_self_loop_[static_cast<std::size_t>(e.source)] = 1;
       }
     }
-    in_offset_[n] = offset;
-    // Ensure the out-CSR side is built too (parallel send must not race to
-    // build it lazily).
-    if (n > 0) static_cast<void>(g.out_edges(0));
+    if (std::find(has_self_loop_.begin(), has_self_loop_.end(), 0) !=
+        has_self_loop_.end()) {
+      throw std::logic_error("Executor: round graph misses a self-loop");
+    }
+    for (std::size_t v = 0; v < n; ++v) in_offset_[v + 1] += in_offset_[v];
+    // in_offset_[v] doubles as v's fill cursor; afterwards it holds the
+    // start of v + 1, so the offsets shift back by one slot.
+    for (std::size_t id = 0; id < edge_total; ++id) {
+      const Edge& e = edges[id];
+      const std::size_t slot = in_offset_[static_cast<std::size_t>(e.target)]++;
+      in_edge_[slot] = static_cast<EdgeId>(id);
+      in_source_[slot] = e.source;
+    }
+    for (std::size_t v = n; v > 1; --v) in_offset_[v - 1] = in_offset_[v - 2];
+    if (n > 0) in_offset_[0] = 0;
+    if (model_ == CommModel::kOutputPortAware && n > 0) {
+      static_cast<void>(g.out_edges(0));
+    }
     topology_key_ = ref.is_borrowed() ? &g : nullptr;
   }
 
@@ -713,6 +743,8 @@ class Executor {
   std::vector<std::size_t> in_offset_;     // receiver-CSR offsets, size n+1
   std::vector<EdgeId> in_edge_;            // slot -> edge id (port-aware path)
   std::vector<Vertex> in_source_;          // slot -> sender (isotropic path)
+  std::vector<int> out_degree_;            // vertex -> round outdegree
+  std::vector<unsigned char> has_self_loop_;  // prepare_topology scratch
   std::vector<const Message*> arena_;      // delivered messages, receiver-major
   std::vector<Message> outbox_;            // one message per sender (isotropic)
   std::vector<Message> edge_outbox_;       // one message per edge (port-aware)

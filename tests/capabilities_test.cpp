@@ -117,7 +117,7 @@ TEST(Capabilities, UndeclaredAgentIsTreatedAsPolymorphic) {
     struct Message {
       int x = 0;
     };
-    [[nodiscard]] Message send(int, int) const { return {}; }
+    void send(Message& out, int, int) const { out = {}; }
     void receive(Inbox<Message> /*messages*/) {}
   };
   static_assert(agent_capabilities<LegacyProbeAgent>() ==

@@ -20,8 +20,8 @@ class UndeclaredAgent {
   static constexpr bool kParallelSafe = true;
   // kModelCapabilities deliberately missing.
 
-  [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const {
-    return Message{value_};
+  void send(Message& out, int /*outdegree*/, int /*port*/) const {
+    out.value = value_;
   }
 
   void receive(anonet::Inbox<Message> messages) {

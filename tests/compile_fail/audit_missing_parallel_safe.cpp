@@ -24,8 +24,8 @@ class SilentAgent {
   static constexpr anonet::ModelCapabilities kModelCapabilities =
       anonet::ModelCapabilities::kNone;
 
-  [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const {
-    return Message{value_};
+  void send(Message& out, int /*outdegree*/, int /*port*/) const {
+    out.value = value_;
   }
 
   void receive(anonet::Inbox<Message> messages) {

@@ -23,8 +23,8 @@ struct PortSplitterAgent {
   static constexpr anonet::ModelCapabilities kModelCapabilities =
       anonet::ModelCapabilities::kNeedsOutputPorts;
 
-  [[nodiscard]] Message send(int /*outdegree*/, int port) const {
-    return Message{port};
+  void send(Message& out, int /*outdegree*/, int port) const {
+    out = Message{port};
   }
   void receive(anonet::Inbox<Message> /*messages*/) {}
 };

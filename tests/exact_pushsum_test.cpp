@@ -92,7 +92,8 @@ TEST(ExactPushSum, InputValidation) {
   EXPECT_THROW(ExactPushSumAgent(r(1), r(0)), std::invalid_argument);
   EXPECT_THROW(ExactPushSumAgent(r(1), r(-1)), std::invalid_argument);
   ExactPushSumAgent agent(r(1), r(1));
-  EXPECT_THROW(agent.send(0, 0), std::logic_error);
+  ExactPushSumAgent::Message slot;
+  EXPECT_THROW(agent.send(slot, 0, 0), std::logic_error);
 }
 
 TEST(TraceRecorder, CsvRoundTripShape) {

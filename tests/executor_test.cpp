@@ -34,10 +34,10 @@ struct ProbeAgent {
   mutable std::vector<int> ports_seen;
   std::vector<Message> last_inbox;
 
-  Message send(int outdegree, int port) const {
+  void send(Message& out, int outdegree, int port) const {
     last_outdegree = outdegree;
     ports_seen.push_back(port);
-    return Message{id, port};
+    out = Message{id, port};
   }
   void receive(Inbox<Message> messages) {
     last_inbox.assign(messages.begin(), messages.end());
@@ -208,6 +208,50 @@ TEST(Executor, MissingSelfLoopIsRejected) {
   Executor<ProbeAgent> exec(net, std::move(agents),
                             CommModel::kSimpleBroadcast);
   EXPECT_THROW(exec.step(), std::logic_error);
+
+  // A borrowed graph is checked when first lent.
+  class LentSchedule final : public DynamicGraph {
+   public:
+    explicit LentSchedule(Digraph g) : g_(std::move(g)) {}
+    [[nodiscard]] Vertex vertex_count() const override {
+      return g_.vertex_count();
+    }
+    [[nodiscard]] Digraph at(int) const override { return g_; }
+    [[nodiscard]] RoundGraphRef view(int) const override {
+      return RoundGraphRef(&g_);
+    }
+
+   private:
+    Digraph g_;
+  };
+  Executor<ProbeAgent> lent(std::make_shared<LentSchedule>(g),
+                            std::vector<ProbeAgent>(2),
+                            CommModel::kSimpleBroadcast);
+  EXPECT_THROW(lent.step(), std::logic_error);
+
+  // Owned fresh graphs are checked every round, before any agent sends:
+  // round 1 is complete, round 2 loses vertex 1's self-loop.
+  class FreshSchedule final : public DynamicGraph {
+   public:
+    [[nodiscard]] Vertex vertex_count() const override { return 2; }
+    [[nodiscard]] Digraph at(int t) const override {
+      Digraph g(2);
+      g.add_edge(0, 1);
+      g.add_edge(1, 0);
+      g.add_edge(0, 0);
+      if (t == 1) g.add_edge(1, 1);
+      return g;
+    }
+  };
+  Executor<ProbeAgent> fresh(std::make_shared<FreshSchedule>(),
+                             std::vector<ProbeAgent>(2),
+                             CommModel::kSimpleBroadcast);
+  fresh.step();
+  EXPECT_THROW(fresh.step(), std::logic_error);
+  EXPECT_EQ(fresh.round(), 1);
+  for (Vertex v = 0; v < 2; ++v) {
+    EXPECT_EQ(fresh.agent(v).ports_seen.size(), 1u) << v;
+  }
 }
 
 // Order-*sensitive* agent: its state folds the exact arrival
@@ -223,9 +267,9 @@ struct OrderHashAgent {
 
   std::uint64_t state = 1;
 
-  Message send(int outdegree, int port) const {
-    return Message{state ^ (static_cast<std::uint64_t>(outdegree) << 32) ^
-                   static_cast<std::uint64_t>(port)};
+  void send(Message& out, int outdegree, int port) const {
+    out.tag = state ^ (static_cast<std::uint64_t>(outdegree) << 32) ^
+              static_cast<std::uint64_t>(port);
   }
   void receive(Inbox<Message> messages) {
     for (const Message& m : messages) {
@@ -335,7 +379,8 @@ std::vector<Alg> run_seed_reference(const DynamicGraphPtr& net,
       const int d = static_cast<int>(out.size());
       const Alg& agent = agents[static_cast<std::size_t>(v)];
       const int visible = sees_outdegree(model) ? d : 0;
-      const Message message = agent.send(visible, 0);
+      Message message;
+      agent.send(message, visible, 0);
       for (EdgeId id : out) {
         inbox[static_cast<std::size_t>(g.edge(id).target)].push_back(message);
       }
@@ -441,7 +486,9 @@ struct SenderTraceAgent {
   int id = 0;
   std::vector<int> heard;
 
-  Message send(int /*outdegree*/, int /*port*/) const { return Message(id); }
+  void send(Message& out, int /*outdegree*/, int /*port*/) const {
+    out = Message(id);
+  }
   void receive(Inbox<Message> messages) {
     for (const Message& m : messages) heard.push_back(m.sender);
     heard.push_back(-1);

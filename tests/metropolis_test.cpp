@@ -71,7 +71,8 @@ TEST(Metropolis, ToleratesAsynchronousStarts) {
 
 TEST(Metropolis, RequiresOutdegreeAwareness) {
   MetropolisAgent agent(1.0);
-  EXPECT_THROW(static_cast<void>(agent.send(0, 0)), std::logic_error);
+  MetropolisAgent::Message slot;
+  EXPECT_THROW(agent.send(slot, 0, 0), std::logic_error);
 }
 
 TEST(FrequencyMetropolis, IndicatorAveragesAreFrequencies) {

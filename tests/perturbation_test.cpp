@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "core/gossip.hpp"
+#include "core/pushsum.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
@@ -238,6 +240,78 @@ TEST(ChurnSchedule, AbsentVerticesKeepOnlySelfLoopsAndSymmetryHolds) {
   const ChurnSchedule again(inner, 3, 0.4, 0x77ull);
   for (int t : {1, 5, 9, 23}) {
     EXPECT_EQ(churn.at(t).edges(), again.at(t).edges()) << "t=" << t;
+  }
+}
+
+TEST(ChurnSchedule, LendsOneGraphPerEpoch) {
+  const auto inner = std::make_shared<StaticSchedule>(bidirectional_ring(40));
+  const ChurnSchedule churn(inner, 8, 0.25, 0x51ull);
+  const Digraph* previous_epoch = nullptr;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const int first = 8 * epoch + 1;
+    const RoundGraphRef lent = churn.view(first);
+    ASSERT_TRUE(lent.is_borrowed());
+    EXPECT_NE(&lent.get(), previous_epoch) << "epoch " << epoch;
+    for (int t = first; t < first + 8; ++t) {
+      const RoundGraphRef view = churn.view(t);
+      EXPECT_EQ(&view.get(), &lent.get()) << "t=" << t;
+      EXPECT_EQ(view.get().edges(), churn.at(t).edges()) << "t=" << t;
+    }
+    previous_epoch = &lent.get();
+  }
+  // Asking for an earlier epoch again rebuilds it elsewhere: the storage
+  // lent by the previous call is never overwritten.
+  const Digraph* last = &churn.view(24).get();
+  const RoundGraphRef back = churn.view(3);
+  EXPECT_NE(&back.get(), last);
+  EXPECT_EQ(back.get().edges(), churn.at(3).edges());
+}
+
+// A schedule serving another schedule's round graphs as owned graphs: the
+// executor then rebuilds its topology every round.
+class OwnedViews final : public DynamicGraph {
+ public:
+  explicit OwnedViews(DynamicGraphPtr inner) : inner_(std::move(inner)) {}
+  [[nodiscard]] Vertex vertex_count() const override {
+    return inner_->vertex_count();
+  }
+  [[nodiscard]] Digraph at(int t) const override { return inner_->at(t); }
+
+ private:
+  DynamicGraphPtr inner_;
+};
+
+TEST(ChurnSchedule, LentEpochGraphsRunLikeOwnedGraphs) {
+  constexpr Vertex kN = 60;
+  const auto churn = [] {
+    return std::make_shared<ChurnSchedule>(
+        std::make_shared<StaticSchedule>(bidirectional_ring(kN)), 8, 0.25,
+        0x9aull);
+  };
+  for (int threads : {1, 2}) {
+    std::vector<FrequencyPushSumAgent> agents;
+    for (Vertex v = 0; v < kN; ++v) agents.emplace_back(v % 3);
+    Executor<FrequencyPushSumAgent> lent(churn(), agents,
+                                         CommModel::kOutdegreeAware, 7,
+                                         threads);
+    Executor<FrequencyPushSumAgent> owned(
+        std::make_shared<OwnedViews>(churn()), std::move(agents),
+        CommModel::kOutdegreeAware, 7, threads);
+    lent.run(24);  // three epochs
+    owned.run(24);
+    EXPECT_EQ(lent.stats().messages_delivered,
+              owned.stats().messages_delivered);
+    for (Vertex v = 0; v < kN; ++v) {
+      const auto a = lent.agent(v).send(1, 0);
+      const auto b = owned.agent(v).send(1, 0);
+      ASSERT_EQ(a.keys, b.keys) << v;
+      EXPECT_EQ(0, std::memcmp(a.ys.data(), b.ys.data(),
+                               a.ys.size() * sizeof(double)))
+          << v;
+      EXPECT_EQ(0, std::memcmp(a.zs.data(), b.zs.data(),
+                               a.zs.size() * sizeof(double)))
+          << v;
+    }
   }
 }
 

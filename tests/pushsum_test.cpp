@@ -100,7 +100,8 @@ TEST(PushSum, ErrorShrinksGeometrically) {
 
 TEST(PushSum, RequiresOutdegreeAwareness) {
   PushSumAgent agent(1.0, 1.0);
-  EXPECT_THROW(static_cast<void>(agent.send(0, 0)),
+  PushSumAgent::Message slot;
+  EXPECT_THROW(agent.send(slot, 0, 0),
                std::logic_error);  // model hid the degree
   EXPECT_THROW(PushSumAgent(1.0, 0.0), std::invalid_argument);
 }

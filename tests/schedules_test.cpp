@@ -308,6 +308,12 @@ TEST(Schedules, RandomScheduleViewsAreCachedPerRound) {
   for (int t : {1, 2, 3, 2, 5, 1}) {
     EXPECT_EQ(schedule.view(t).get().edges(), schedule.at(t).edges()) << t;
   }
+  // A repeated round protects its slot too: the next new round is built
+  // into the other one, never into the storage lent by the previous call.
+  static_cast<void>(schedule.view(8));
+  static_cast<void>(schedule.view(9));
+  const Digraph* repeated = &schedule.view(8).get();
+  EXPECT_NE(&schedule.view(10).get(), repeated);
   RandomSymmetricSchedule symmetric(6, 3, 9);
   EXPECT_TRUE(symmetric.view(2).is_borrowed());
   EXPECT_EQ(symmetric.view(2).get().edges(), symmetric.at(2).edges());

@@ -100,6 +100,11 @@ def main(argv=None) -> int:
                              "preserving existing justifications")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the per-file summary line")
+    parser.add_argument("--root", metavar="DIR",
+                        help="repository root that finding paths (and so "
+                             "fingerprints) are relative to; default: the "
+                             "nearest directory above the first file that "
+                             "holds .git")
     args = parser.parse_args(argv)
 
     rules = ALL_RULES
@@ -126,7 +131,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     findings = engine.findings
-    root = baselines.find_repo_root(files[0])
+    root = (os.path.abspath(args.root) if args.root
+            else baselines.find_repo_root(files[0]))
 
     if args.json_out:
         baselines.write_findings_json(args.json_out, findings, root)

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
@@ -25,9 +26,10 @@ class MeteredFanoutAgent {
 
   static constexpr bool kParallelSafe = true;
   // The declared consumer: observing outdegree and ports is its row of
-  // Table 1 (spelled the way the real capability header does).
-  static constexpr int kModelCapabilities =
-      kNeedsOutdegree | kNeedsOutputPorts;
+  // Table 1.
+  static constexpr anonet::ModelCapabilities kModelCapabilities =
+      anonet::ModelCapabilities::kNeedsOutdegree |
+      anonet::ModelCapabilities::kNeedsOutputPorts;
 
   [[nodiscard]] Message send(int outdegree, int port) const {
     return Message{state_ / (outdegree + 1) + port};
@@ -38,8 +40,6 @@ class MeteredFanoutAgent {
   }
 
  private:
-  static constexpr int kNeedsOutdegree = 1;
-  static constexpr int kNeedsOutputPorts = 2;
   std::int64_t state_ = 0;
 };
 

@@ -302,7 +302,10 @@ class RuleEngine:
                 for send_def in info.methods["send"]:
                     if not send_def.body:
                         continue
-                    names = send_def.param_names
+                    # The outdegree and the port are the last two
+                    # parameters, in the value form send(outdegree, port)
+                    # and in the outbox-slot form send(out, outdegree, port).
+                    names = send_def.param_names[-2:]
                     if position >= len(names) or not names[position]:
                         continue
                     for fn, occ, kind, hops, path in \

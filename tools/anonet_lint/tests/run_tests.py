@@ -56,6 +56,7 @@ FIXTURE_RULES = {
     "m1_missing_port_capability.cpp": "M1",
     "m1_helper_outdegree.cpp": "M1",
     "m1_transitive_leak.cpp": "M1",
+    "m1_slot_form_outdegree.cpp": "M1",
     "m1_forwarding_ok.cpp": None,
     "w1_missing_traits.cpp": "W1",
     "w1_partial_traits.cpp": "W1",
@@ -309,6 +310,29 @@ class RatchetCliTests(unittest.TestCase):
             self.assertEqual(run.returncode, 1)
             self.assertIn("NEW finding", run.stdout + run.stderr)
             self.assertIn("clock()", run.stdout + run.stderr)
+
+    def test_root_flag_keeps_a_baseline_valid_in_a_moved_tree(self):
+        # A checkout without .git (an exported archive) has no root to
+        # find: --root names it, so fingerprints stay tree-relative.
+        with tempfile.TemporaryDirectory() as tmp:
+            first = os.path.join(tmp, "first")
+            os.makedirs(os.path.join(first, "src"))
+            with open(os.path.join(first, "src", "scratch.cpp"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(self.VIOLATION)
+            bl = os.path.join(tmp, "baseline.json")
+            self.assertEqual(
+                self.run_cli("--root", first, "--baseline", bl,
+                             "--update-baseline",
+                             os.path.join(first, "src")).returncode, 0)
+            moved = os.path.join(tmp, "moved")
+            os.rename(first, moved)
+            src = os.path.join(moved, "src")
+            self.assertEqual(
+                self.run_cli("--root", moved, "--baseline", bl,
+                             src).returncode, 0)
+            self.assertEqual(
+                self.run_cli("--baseline", bl, src).returncode, 1)
 
 
 class RawPayloadEscapeTests(unittest.TestCase):
